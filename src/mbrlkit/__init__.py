@@ -10,7 +10,7 @@ from .models import (GaussianMLPEnsemble, ModelEnv, ModelTrainer,
 from .planning import (Agent, CEMConfig, RandomAgent,
                        TrajectoryOptimizerAgent, cem_optimize,
                        create_mpc_agent, evaluate_action_sequences)
-from .envs import make_env, reward_registry_lookup, termination_registry_lookup
+from .envs import make_env
 from .algorithms import (LearningCurve, PETSConfig, pets_run,
                          rollout_agent_trajectories, train_model_on_buffer)
 

@@ -54,8 +54,7 @@ class PETSConfig:
 
     horizon: int = 15
     particles: int = 5
-    cem: CEMConfig = field(default_factory=lambda: CEMConfig(
-        population=250, elite_count=25, iterations=5, initial_var=0.25))
+    cem: CEMConfig = field(default_factory=CEMConfig)
 
     seed: int = 0
     record_walltime: bool = False

@@ -101,7 +101,7 @@ def _cmd_visualize(args) -> int:
 
 def _cmd_true_env_control(args) -> int:
     cfg = config_mod.load_config(args.config)
-    cem = CEMConfig(**cfg.optimizer) if cfg.optimizer else CEMConfig()
+    cem = CEMConfig(**cfg.optimizer)
     returns = diagnostics.true_env_cem_control(
         cfg.env_name, cem, args.horizon, args.episodes, seed=args.seed,
         trial_length=cfg.overrides.get("trial_length"))

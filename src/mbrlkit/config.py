@@ -8,12 +8,12 @@ shapes. Unknown keys are rejected with their full key path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import yaml
 
 from .algorithms import PETSConfig
-from .envs import ENV_CLASSES, TERMINATION_FNS
+from .envs import ENV_CLASSES
 from .planning import CEMConfig
 
 SENTINEL = "???"
@@ -44,7 +44,6 @@ _SCHEMA = {
     },
     "overrides": {
         "env": str,
-        "term_fn": str,
         "trial_length": int,
         "num_trials": int,
         "model_batch_size": int,
@@ -121,9 +120,6 @@ def load_config(path) -> RunConfig:
     env_name = cfg.env_name
     if env_name not in ENV_CLASSES:
         raise ConfigError(f"overrides.env: unknown environment {env_name!r}")
-    term = cfg.overrides.get("term_fn")
-    if term is not None and term not in TERMINATION_FNS:
-        raise ConfigError(f"overrides.term_fn: unknown function {term!r}")
     resolve_sentinels(cfg)
     return cfg
 
@@ -147,42 +143,14 @@ def resolve_sentinels(cfg: RunConfig) -> None:
 
 
 def to_pets_config(cfg: RunConfig, seed: int = 0) -> PETSConfig:
-    dm, alg, ov, ag = (cfg.dynamics_model, cfg.algorithm, cfg.overrides,
-                       cfg.agent)
-    cem_kwargs = dict(cfg.optimizer)
-    cem = CEMConfig(**cem_kwargs) if cem_kwargs else CEMConfig(
-        population=250, elite_count=25, iterations=5, initial_var=0.25)
-    pets = PETSConfig(
-        env=cfg.env_name,
-        cem=cem,
-        seed=seed,
-    )
-    mapping = [
-        (dm, {"ensemble_size": "ensemble_size", "elite_count": "elite_count",
-              "deterministic": "deterministic", "num_layers": "num_layers",
-              "hid_size": "hid_size", "use_silu": "use_silu",
-              "propagation_method": "propagation_method", "lr": "lr"}),
-        (alg, {"initial_exploration_steps": "initial_exploration_steps",
-               "learned_rewards": "learned_rewards",
-               "target_is_delta": "target_is_delta",
-               "normalize": "normalize"}),
-        (ov, {"trial_length": "trial_length", "num_trials": "num_trials",
-              "model_batch_size": "model_batch_size",
-              "validation_ratio": "validation_ratio",
-              "model_retrain_interval": "model_retrain_interval",
-              "retrain_at_trial_start": "retrain_at_trial_start",
-              "num_epochs": "num_epochs", "patience": "patience",
-              "buffer_capacity": "buffer_capacity",
-              "record_walltime": "record_walltime",
-              "stop_on_return": "stop_on_return"}),
-        (ag, {"horizon": "horizon", "particles": "particles"}),
-    ]
-    valid_fields = {f.name for f in fields(PETSConfig)}
-    for section, keys in mapping:
-        for src, dst in keys.items():
-            if src in section:
-                assert dst in valid_fields
-                setattr(pets, dst, section[src])
+    """Every section key except the model's in_size/out_size (resolved from
+    the environment) is the PETSConfig field of the same name; the optimizer
+    section is the CEMConfig."""
+    kwargs = {key: value
+              for name in _SCHEMA if name != "optimizer"
+              for key, value in getattr(cfg, name).items()
+              if key not in ("in_size", "out_size")}
+    pets = PETSConfig(**kwargs, cem=CEMConfig(**cfg.optimizer), seed=seed)
     pets.validate()
     return pets
 

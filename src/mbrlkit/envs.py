@@ -194,23 +194,6 @@ ENV_DEFAULTS = {
 }
 
 
-def termination_registry_lookup(name: str):
-    try:
-        return TERMINATION_FNS[name]
-    except KeyError:
-        known = ", ".join(sorted(TERMINATION_FNS))
-        raise KeyError(f"unknown termination function {name!r}; "
-                       f"known: {known}") from None
-
-
-def reward_registry_lookup(name: str):
-    try:
-        return REWARD_FNS[name]
-    except KeyError:
-        known = ", ".join(sorted(REWARD_FNS))
-        raise KeyError(f"unknown reward function {name!r}; known: {known}") from None
-
-
 def make_env(name: str):
     """Returns (env instance, termination fn, reward fn) for a registry name."""
     try:

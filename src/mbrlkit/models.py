@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Normalizer, TransitionBatch, ValidationError
+from .data import (Normalizer, TransitionBatch, TransitionIterator,
+                   ValidationError)
 from .nets import (AdamState, DenseNet, load_arrays, save_arrays, sigmoid,
                    softplus)
 
@@ -134,6 +135,15 @@ class GaussianMLPEnsemble:
         sig_min = sigmoid(z2 - self.min_logvar)
         return logvar, (sig_max, sig_min)
 
+    def member_forward(self, e: int, x: np.ndarray, cache: bool = False):
+        """Member e's heads for x (B, in): (mean, logvar), each (B, out);
+        logvar is None when deterministic."""
+        out = self.members[e].forward(x, cache=cache)
+        if self.deterministic:
+            return out, None
+        logvar, _ = self._bound_logvar(out[:, self.out_size:])
+        return out[:, :self.out_size], logvar
+
     def forward(self, x: np.ndarray, cache: bool = False):
         """Per-member heads.
 
@@ -148,17 +158,10 @@ class GaussianMLPEnsemble:
             xs = [x[e] for e in range(self.ensemble_size)]
         else:
             raise ValidationError(f"bad input shape {x.shape}")
-        means, logvars = [], []
-        for member, xe in zip(self.members, xs):
-            out = member.forward(xe, cache=cache)
-            if self.deterministic:
-                means.append(out)
-            else:
-                means.append(out[:, :self.out_size])
-                lv, _ = self._bound_logvar(out[:, self.out_size:])
-                logvars.append(lv)
-        mean = np.stack(means)
-        return mean, (None if self.deterministic else np.stack(logvars))
+        means, logvars = zip(*(self.member_forward(e, xe, cache)
+                               for e, xe in enumerate(xs)))
+        return np.stack(means), (None if self.deterministic
+                                 else np.stack(logvars))
 
     def ensemble_mean_predict(self, x: np.ndarray) -> np.ndarray:
         """Arithmetic mean of the elite members' mean predictions."""
@@ -328,12 +331,6 @@ class TransitionRewardWrapper:
         reward = pred[:, self.obs_dim] if self.learned_rewards else None
         return next_obs, reward
 
-    def predict_mean(self, obs: np.ndarray, action: np.ndarray):
-        """Elite ensemble-mean prediction of (next_obs, reward)."""
-        x = self.normalizer.normalize(np.concatenate([obs, action], axis=-1))
-        pred = self.model.ensemble_mean_predict(x)
-        return self._split_prediction(pred, obs)
-
     def sample(self, obs: np.ndarray, action: np.ndarray,
                rng: np.random.Generator, sample: bool = True,
                member_assignment: np.ndarray | None = None):
@@ -357,7 +354,7 @@ class TransitionRewardWrapper:
             logvar = None if self.model.deterministic else np.empty((p, d))
             for m in np.unique(member_assignment):
                 rows = np.flatnonzero(member_assignment == m)
-                mean_m, lv_m = self._member_forward(int(m), x[rows])
+                mean_m, lv_m = self.model.member_forward(int(m), x[rows])
                 mu[rows] = mean_m
                 if logvar is not None:
                     logvar[rows] = lv_m
@@ -373,15 +370,6 @@ class TransitionRewardWrapper:
         if sample and logvar is not None:
             pred = mu + np.exp(0.5 * logvar) * rng.standard_normal((p, d))
         return self._split_prediction(pred, obs)
-
-    def _member_forward(self, member_index: int, x: np.ndarray):
-        member = self.model.members[member_index]
-        out = member.forward(x)
-        if self.model.deterministic:
-            return out, None
-        mu = out[:, :self.model.out_size]
-        lv, _ = self.model._bound_logvar(out[:, self.model.out_size:])
-        return mu, lv
 
 
 @dataclass
@@ -444,8 +432,6 @@ class ModelTrainer:
 
     def train(self, train_iter, val_iter=None, num_epochs: int = 50,
               patience: int = 10) -> TrainerReport:
-        from .data import TransitionIterator  # local import to avoid cycle noise
-
         start = time.perf_counter()
         if val_iter is None:
             eval_iter = TransitionIterator(

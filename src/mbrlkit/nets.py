@@ -129,10 +129,7 @@ class DenseNet:
                 g = g * self._act_grad(pre[i])
             w_grads[i] = g.T @ inputs[i]
             b_grads[i] = g.sum(axis=0)
-            if i > 0:
-                g = g @ self.weights[i]
-            else:
-                g = g @ self.weights[0]
+            g = g @ self.weights[i]
         return w_grads, b_grads, g
 
     # flat parameter access, used by the optimizer and checkpoints

@@ -26,10 +26,10 @@ class CEMConfig:
     distribution (alpha = 0 recovers the pure sample mean/variance refit).
     """
 
-    population: int = 350
-    elite_count: int = 35
+    population: int = 250
+    elite_count: int = 25
     iterations: int = 5
-    initial_var: float = 1.0
+    initial_var: float = 0.25
     alpha: float = 0.1
     return_mean_elites: bool = True
 
@@ -134,16 +134,6 @@ def write_cem_trace(trace, path) -> None:
                              row.var_norm])
 
 
-@dataclass
-class TrajectoryEvalSpec:
-    horizon: int
-    particles: int = 1
-
-    def validate(self) -> None:
-        if self.horizon < 1 or self.particles < 1:
-            raise ValidationError("horizon and particles must be >= 1")
-
-
 def evaluate_action_sequences(model_env, initial_obs: np.ndarray,
                               sequences: np.ndarray, particles: int,
                               rng: np.random.Generator,
@@ -211,8 +201,8 @@ class TrajectoryOptimizerAgent(Agent):
 
     def __init__(self, trajectory_eval_fn, horizon: int, act_dim: int,
                  action_low, action_high, cem_config: CEMConfig | None = None):
-        spec = TrajectoryEvalSpec(horizon)
-        spec.validate()
+        if horizon < 1:
+            raise ValidationError("horizon must be >= 1")
         self.trajectory_eval_fn = trajectory_eval_fn
         self.horizon = int(horizon)
         self.act_dim = int(act_dim)
@@ -220,8 +210,7 @@ class TrajectoryOptimizerAgent(Agent):
             np.asarray(action_low, dtype=np.float64), (act_dim,))
         self.high = np.broadcast_to(
             np.asarray(action_high, dtype=np.float64), (act_dim,))
-        self.cem_config = cem_config or CEMConfig(
-            initial_var=float(((self.high - self.low).max() / 4.0) ** 2))
+        self.cem_config = cem_config or CEMConfig()
         self._prev_solution = None
         self.last_trace = None
 
@@ -230,7 +219,7 @@ class TrajectoryOptimizerAgent(Agent):
         self.last_trace = None
 
     def _initial_mean(self) -> np.ndarray:
-        pad = np.zeros((1, self.act_dim))
+        pad = ((self.low + self.high) / 2.0)[None]
         if self._prev_solution is None:
             return np.tile(pad, (self.horizon, 1))
         return np.concatenate([self._prev_solution[1:], pad])

@@ -1,6 +1,8 @@
 import numpy as np
 import yaml
 
+from mbrlkit import algorithms, diagnostics
+from mbrlkit.algorithms import LearningCurve
 from mbrlkit.cli import cli_main
 
 
@@ -60,6 +62,32 @@ class TestTrainCommand:
     def test_missing_config_exit_1(self, tmp_path):
         assert cli_main(["train", "--config",
                          str(tmp_path / "nope.yaml")]) == 1
+
+
+class TestCEMDefault:
+    def test_true_env_control_plans_like_train(self, tmp_path, monkeypatch):
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({"overrides": {"trial_length": 15}}))
+        seen = {}
+
+        def pets_run(cfg, out_dir):
+            seen["train"] = cfg.cem
+            return LearningCurve()
+
+        def true_env_cem_control(env_name, cem_config, *args, **kwargs):
+            seen["true-env-control"] = cem_config
+            return [0.0]
+
+        monkeypatch.setattr(algorithms, "pets_run", pets_run)
+        monkeypatch.setattr(diagnostics, "true_env_cem_control",
+                            true_env_cem_control)
+        for command in ("train", "true-env-control"):
+            assert cli_main([command, "--config", str(path),
+                             "--out", str(tmp_path / command)]) == 0
+        cem = seen["train"]
+        assert seen["true-env-control"] == cem
+        assert (cem.population, cem.elite_count, cem.iterations,
+                cem.initial_var, cem.alpha) == (250, 25, 5, 0.25, 0.1)
 
 
 class TestArgumentErrors:

@@ -1,9 +1,17 @@
+import pathlib
+from dataclasses import fields
+
 import pytest
 import yaml
 
-from mbrlkit.config import (SENTINEL, ConfigError, RunConfig, load_config,
-                            resolve_sentinels, save_config_snapshot,
-                            to_pets_config)
+from mbrlkit.algorithms import PETSConfig
+from mbrlkit.cli import cli_main
+from mbrlkit.config import (_SCHEMA, SENTINEL, ConfigError, RunConfig,
+                            load_config, resolve_sentinels,
+                            save_config_snapshot, to_pets_config)
+from mbrlkit.planning import CEMConfig
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_yaml(tmp_path, doc, name="config.yaml"):
@@ -30,7 +38,6 @@ BASE_DOC = {
     },
     "overrides": {
         "env": "cartpole_continuous",
-        "term_fn": "cartpole",
         "trial_length": 200,
         "num_trials": 20,
         "model_batch_size": 256,
@@ -52,7 +59,6 @@ class TestLoadConfig:
     def test_sentinels_resolved_pendulum(self, tmp_path):
         doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
         doc["overrides"]["env"] = "pendulum"
-        doc["overrides"]["term_fn"] = "no_termination"
         cfg = load_config(write_yaml(tmp_path, doc))
         assert cfg.dynamics_model["in_size"] == 3   # 2 obs + 1 action
         assert cfg.dynamics_model["out_size"] == 2
@@ -94,11 +100,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="acrobot"):
             load_config(write_yaml(tmp_path, doc))
 
-    def test_unknown_term_fn_rejected(self, tmp_path):
-        doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
-        doc["overrides"]["term_fn"] = "mystery"
-        with pytest.raises(ConfigError, match="term_fn"):
-            load_config(write_yaml(tmp_path, doc))
+    def test_unknown_term_fn_rejected(self, tmp_path, capsys):
+        # the termination comes from the environment, so even the name of a
+        # registered termination function is an unknown key
+        for value in ("mystery", "cartpole"):
+            doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
+            doc["overrides"]["term_fn"] = value
+            path = write_yaml(tmp_path, doc)
+            with pytest.raises(ConfigError,
+                               match="unknown key overrides.term_fn"):
+                load_config(path)
+            assert cli_main(["train", "--config", str(path),
+                             "--out", str(tmp_path / "run")]) == 2
+            assert "overrides.term_fn" in capsys.readouterr().err
 
     def test_bool_not_accepted_for_int(self, tmp_path):
         doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
@@ -136,12 +150,50 @@ class TestToPetsConfig:
         assert pets.env == "cartpole_continuous"
         assert pets.cem.population == 250
 
+    @pytest.mark.parametrize("optimizer, expected", [
+        ({"population": 30}, (30, 25, 5, 0.25, 0.1)),
+        ({"iterations": 3}, (250, 25, 3, 0.25, 0.1)),
+    ])
+    def test_partial_optimizer_keeps_defaults(self, tmp_path, optimizer,
+                                              expected):
+        doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
+        doc["optimizer"] = optimizer
+        cem = to_pets_config(load_config(write_yaml(tmp_path, doc))).cem
+        assert (cem.population, cem.elite_count, cem.iterations,
+                cem.initial_var, cem.alpha) == expected
+
     def test_invalid_combination_rejected(self, tmp_path):
         doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
         doc["dynamics_model"]["elite_count"] = 9  # > ensemble_size
         cfg = load_config(write_yaml(tmp_path, doc))
         with pytest.raises(Exception):
             to_pets_config(cfg)
+
+
+class TestSchemaCoverage:
+    def test_every_key_is_a_config_field(self):
+        pets_fields = {f.name for f in fields(PETSConfig)}
+        cem_fields = {f.name for f in fields(CEMConfig)}
+        resolved = {("dynamics_model", "in_size"),
+                    ("dynamics_model", "out_size")}
+        owner = {}
+        for section, keys in _SCHEMA.items():
+            for key in keys:
+                if section == "optimizer":
+                    assert key in cem_fields, f"optimizer.{key}"
+                elif (section, key) not in resolved:
+                    assert key in pets_fields, f"{section}.{key}"
+                    assert owner.setdefault(key, section) == section, key
+
+    @pytest.mark.parametrize("name", ["cartpole", "pendulum"])
+    def test_shipped_values_reach_pets_config(self, name):
+        cfg = load_config(CONFIGS / f"{name}.yaml")
+        pets = to_pets_config(cfg)
+        for section in ("dynamics_model", "algorithm", "overrides", "agent"):
+            for key, value in getattr(cfg, section).items():
+                if key not in ("in_size", "out_size"):
+                    assert getattr(pets, key) == value, f"{section}.{key}"
+        assert pets.cem == CEMConfig(**cfg.optimizer)
 
 
 class TestSnapshot:

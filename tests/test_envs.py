@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mbrlkit.envs import (ENV_CLASSES, REWARD_FNS, TERMINATION_FNS,
-                          CartPoleContinuousEnv, PendulumEnv, angle_wrap,
-                          cartpole_reward, cartpole_termination, make_env,
-                          no_termination, pendulum_reward,
-                          reward_registry_lookup, termination_registry_lookup)
+from mbrlkit.envs import (ENV_CLASSES, CartPoleContinuousEnv, PendulumEnv,
+                          angle_wrap, cartpole_reward, cartpole_termination,
+                          make_env, no_termination, pendulum_reward)
 
 
 class TestCartPole:
@@ -194,23 +192,6 @@ class TestRewardAndTerminationFns:
 
 
 class TestRegistry:
-    def test_lookup_success(self):
-        assert termination_registry_lookup("cartpole") is cartpole_termination
-        assert reward_registry_lookup("pendulum") is pendulum_reward
-
-    def test_lookup_failure_names_available(self):
-        with pytest.raises(KeyError) as exc:
-            termination_registry_lookup("nope")
-        msg = str(exc.value)
-        for name in TERMINATION_FNS:
-            assert name in msg
-
-    def test_reward_lookup_failure(self):
-        with pytest.raises(KeyError) as exc:
-            reward_registry_lookup("nope")
-        for name in REWARD_FNS:
-            assert name in str(exc.value)
-
     def test_make_env(self):
         env, term_fn, reward_fn = make_env("cartpole_continuous")
         assert isinstance(env, CartPoleContinuousEnv)

@@ -266,6 +266,17 @@ class TestMPCAgent:
         assert np.array_equal(init[:-1], prev[1:])
         assert np.all(init[-1] == 0.0)
 
+    def test_warm_start_pads_with_box_centre(self):
+        agent = TrajectoryOptimizerAgent(
+            lambda obs, seqs, rng: -np.abs(seqs - 0.5).sum(axis=(1, 2)),
+            3, 1, 0.0, 2.0,
+            CEMConfig(population=20, elite_count=2, iterations=1))
+        assert np.all(agent._initial_mean() == 1.0)
+        agent.act(np.zeros(1), np.random.default_rng(0))
+        init = agent._initial_mean()
+        assert np.array_equal(init[:-1], agent._prev_solution[1:])
+        assert np.all(init[-1] == 1.0)
+
     def test_double_integrator_near_lqr(self):
         # 1-D double integrator with quadratic cost; compare to the LQR
         # closed-form cost from the same initial state.
