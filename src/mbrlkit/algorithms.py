@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import ReplayBuffer, Transition, ValidationError, train_val_split
 from .envs import make_env
+from .fileio import replace_on_success
 from .models import (GaussianMLPEnsemble, ModelEnv, ModelTrainer,
                      TrainerReport, TransitionRewardWrapper, save_model)
 from .planning import CEMConfig, RandomAgent, create_mpc_agent
@@ -62,6 +63,8 @@ class PETSConfig:
     stop_on_return: float | None = None
 
     def validate(self) -> None:
+        """Raises ValidationError on invalid value combinations; each
+        message starts with the name of the field it rejects."""
         if self.model_retrain_interval < 1:
             raise ValidationError("model_retrain_interval must be >= 1")
         if self.elite_count > self.ensemble_size:
@@ -86,7 +89,8 @@ class LearningCurve:
         })
 
     def save(self, path) -> None:
-        with open(path, "w", newline="") as f:
+        """Writes results.csv; the file is replaced whole, never torn."""
+        with replace_on_success(path) as tmp, open(tmp, "w", newline="") as f:
             writer = csv.DictWriter(f, fieldnames=RESULTS_CSV_HEADER)
             writer.writeheader()
             for row in self.rows:
@@ -169,8 +173,9 @@ def pets_run(cfg: PETSConfig, env=None, term_fn=None, reward_fn=None,
              out_dir=None) -> LearningCurve:
     """Full PETS experiment; deterministic end-to-end for a fixed seed.
 
-    When out_dir is given, persists config snapshot, results.csv, model.ckpt,
-    buffer.dat and trainer_report.json at every trial end.
+    When out_dir is given, persists results.csv, model.ckpt.npz, buffer.dat
+    and trainer_report.json at every trial end, each replaced whole (a
+    killed run leaves the previous trial's files, never torn ones).
     """
     import pathlib
 

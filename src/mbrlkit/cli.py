@@ -17,7 +17,7 @@ from . import algorithms, config as config_mod, diagnostics
 from .data import ReplayBuffer, ValidationError
 from .envs import make_env
 from .models import ModelEnv, load_model
-from .planning import CEMConfig, create_mpc_agent
+from .planning import create_mpc_agent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,7 +101,7 @@ def _cmd_visualize(args) -> int:
 
 def _cmd_true_env_control(args) -> int:
     cfg = config_mod.load_config(args.config)
-    cem = CEMConfig(**cfg.optimizer)
+    cem = config_mod.to_cem_config(cfg)
     returns = diagnostics.true_env_cem_control(
         cfg.env_name, cem, args.horizon, args.episodes, seed=args.seed,
         trial_length=cfg.overrides.get("trial_length"))
@@ -131,7 +131,7 @@ def cli_main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
-    except (config_mod.ConfigError,) as exc:
+    except config_mod.ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
     except (ValidationError, OSError, KeyError, ValueError,

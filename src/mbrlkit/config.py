@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .algorithms import PETSConfig
+from .data import ValidationError
 from .envs import ENV_CLASSES
 from .planning import CEMConfig
 
@@ -142,16 +143,36 @@ def resolve_sentinels(cfg: RunConfig) -> None:
                 f"environment shape {value}")
 
 
+# the section owning each PETSConfig field set from a config file
+_SECTION_OF = {key: name for name in _SCHEMA if name != "optimizer"
+               for key in _SCHEMA[name]}
+
+
+def to_cem_config(cfg: RunConfig) -> CEMConfig:
+    """The optimizer section as a validated CEMConfig."""
+    cem = CEMConfig(**cfg.optimizer)
+    try:
+        cem.validate()
+    except ValidationError as exc:
+        raise ConfigError(f"optimizer: {exc}") from exc
+    return cem
+
+
 def to_pets_config(cfg: RunConfig, seed: int = 0) -> PETSConfig:
     """Every section key except the model's in_size/out_size (resolved from
     the environment) is the PETSConfig field of the same name; the optimizer
-    section is the CEMConfig."""
+    section is the CEMConfig. Invalid value combinations raise ConfigError
+    naming the section of the field that PETSConfig.validate rejects."""
     kwargs = {key: value
               for name in _SCHEMA if name != "optimizer"
               for key, value in getattr(cfg, name).items()
               if key not in ("in_size", "out_size")}
-    pets = PETSConfig(**kwargs, cem=CEMConfig(**cfg.optimizer), seed=seed)
-    pets.validate()
+    pets = PETSConfig(**kwargs, cem=to_cem_config(cfg), seed=seed)
+    try:
+        pets.validate()
+    except ValidationError as exc:
+        field_name = str(exc).split()[0]
+        raise ConfigError(f"{_SECTION_OF[field_name]}: {exc}") from exc
     return pets
 
 

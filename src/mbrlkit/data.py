@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fileio import replace_on_success
+
 
 class ValidationError(ValueError):
     """Raised when a transition or buffer operation receives invalid data."""
@@ -187,10 +189,11 @@ class ReplayBuffer:
         )
 
     def save(self, path) -> None:
-        """Text format: header `S A size capacity`, one transition per line."""
+        """Text format: header `S A size capacity`, one transition per line.
+        The file is replaced whole, never torn."""
         batch = self.get_all()
         s, a = batch.obs.shape[1], batch.action.shape[1]
-        with open(path, "w") as f:
+        with replace_on_success(path) as tmp, open(tmp, "w") as f:
             f.write(f"{s} {a} {self.size} {self.capacity}\n")
             for i in range(len(batch)):
                 row = np.concatenate([

@@ -20,6 +20,7 @@ import numpy as np
 
 from .data import (Normalizer, TransitionBatch, TransitionIterator,
                    ValidationError)
+from .fileio import replace_on_success
 from .nets import (AdamState, DenseNet, load_arrays, save_arrays, sigmoid,
                    softplus)
 
@@ -127,22 +128,44 @@ class GaussianMLPEnsemble:
 
     # --- forward ------------------------------------------------------------
 
-    def _bound_logvar(self, raw: np.ndarray):
-        """Double-softplus soft bounds; returns (logvar, backward cache)."""
+    def _bound_logvar(self, raw: np.ndarray, grads: bool = False):
+        """Double-softplus soft bounds; returns (logvar, backward cache), the
+        cache being None unless grads is set."""
         z2 = self.max_logvar - softplus(self.max_logvar - raw)
         logvar = self.min_logvar + softplus(z2 - self.min_logvar)
+        if not grads:
+            return logvar, None
         sig_max = sigmoid(self.max_logvar - raw)
         sig_min = sigmoid(z2 - self.min_logvar)
         return logvar, (sig_max, sig_min)
 
-    def member_forward(self, e: int, x: np.ndarray, cache: bool = False):
-        """Member e's heads for x (B, in): (mean, logvar), each (B, out);
+    def _heads(self, out: np.ndarray):
+        """Splits raw outputs (B, head) into (mean, logvar), each (B, out);
         logvar is None when deterministic."""
-        out = self.members[e].forward(x, cache=cache)
         if self.deterministic:
             return out, None
         logvar, _ = self._bound_logvar(out[:, self.out_size:])
         return out[:, :self.out_size], logvar
+
+    def member_forward(self, e: int, x: np.ndarray, cache: bool = False):
+        """Member e's heads for x (B, in): (mean, logvar), each (B, out);
+        logvar is None when deterministic."""
+        return self._heads(self.members[e].forward(x, cache=cache))
+
+    def grouped_forward(self, x: np.ndarray, groups: MemberGroups):
+        """Heads for x (P, in) where row p goes through the member that
+        `groups` assigns to it: one gather, one forward per non-empty member
+        on a contiguous block, one scatter."""
+        x_sorted = x[groups.order]
+        out_sorted = np.empty((x.shape[0], self.layer_sizes[-1]))
+        bounds = groups.bounds.tolist()
+        for e in range(self.ensemble_size):
+            lo, hi = bounds[e], bounds[e + 1]
+            if hi > lo:
+                out_sorted[lo:hi] = self.members[e].forward(x_sorted[lo:hi])
+        out = np.empty_like(out_sorted)
+        out[groups.order] = out_sorted
+        return self._heads(out)
 
     def forward(self, x: np.ndarray, cache: bool = False):
         """Per-member heads.
@@ -189,7 +212,7 @@ class GaussianMLPEnsemble:
         else:
             mu = out[:, :self.out_size]
             raw = out[:, self.out_size:]
-            logvar, (sig_max, sig_min) = self._bound_logvar(raw)
+            logvar, (sig_max, sig_min) = self._bound_logvar(raw, grads=True)
             err = mu - target
             inv_var = np.exp(-logvar)
             loss = float(np.sum(err ** 2 * inv_var + logvar)) / b
@@ -268,6 +291,31 @@ class GaussianMLPEnsemble:
         return ((mean - target[None]) ** 2).mean(axis=1)
 
 
+@dataclass(frozen=True)
+class MemberGroups:
+    """Particles grouped by ensemble member.
+
+    Member e propagates particles order[bounds[e]:bounds[e + 1]], in
+    ascending particle index; bounds has ensemble_size + 1 entries.
+    """
+
+    order: np.ndarray   # (P,) stable argsort of the member assignment
+    bounds: np.ndarray  # (E + 1,) slice bounds into order
+
+    @classmethod
+    def from_assignment(cls, assignment, ensemble_size: int) -> "MemberGroups":
+        assignment = np.asarray(assignment)
+        if assignment.ndim != 1 or not np.issubdtype(assignment.dtype,
+                                                     np.integer):
+            raise ValidationError("member assignment must be a 1-d int array")
+        if assignment.size and (assignment.min() < 0
+                                or assignment.max() >= ensemble_size):
+            raise ValidationError("member index out of range")
+        counts = np.bincount(assignment, minlength=ensemble_size)
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        return cls(np.argsort(assignment, kind="stable"), bounds)
+
+
 class TransitionRewardWrapper:
     """One-dimensional transition/reward wrapper around an ensemble.
 
@@ -333,13 +381,16 @@ class TransitionRewardWrapper:
 
     def sample(self, obs: np.ndarray, action: np.ndarray,
                rng: np.random.Generator, sample: bool = True,
-               member_assignment: np.ndarray | None = None):
+               member_assignment: np.ndarray | None = None,
+               groups: MemberGroups | None = None):
         """Per-particle next-state (and reward) prediction.
 
         With fixed_model propagation, member_assignment gives the ensemble
-        member for each particle; with ensemble_mean, moments are averaged
-        over the elites. The Gaussian noise draw is one (P, D) block so
-        results do not depend on how particles are grouped by member.
+        member for each particle, or groups gives the same grouping already
+        built (as `ModelEnv` does once per rollout); with ensemble_mean,
+        moments are averaged over the elites. The Gaussian noise draw is one
+        (P, D) block so results do not depend on how particles are grouped
+        by member.
         """
         obs = np.asarray(obs, dtype=np.float64)
         action = np.asarray(action, dtype=np.float64)
@@ -347,17 +398,17 @@ class TransitionRewardWrapper:
         p = x.shape[0]
         d = self.model.out_size
         if self.propagation == "fixed_model":
-            if member_assignment is None:
+            if groups is None:
+                if member_assignment is None:
+                    raise ValidationError(
+                        "fixed_model propagation requires a member assignment")
+                groups = MemberGroups.from_assignment(
+                    member_assignment, self.model.ensemble_size)
+            if groups.order.shape != (p,):
                 raise ValidationError(
-                    "fixed_model propagation requires a member assignment")
-            mu = np.empty((p, d))
-            logvar = None if self.model.deterministic else np.empty((p, d))
-            for m in np.unique(member_assignment):
-                rows = np.flatnonzero(member_assignment == m)
-                mean_m, lv_m = self.model.member_forward(int(m), x[rows])
-                mu[rows] = mean_m
-                if logvar is not None:
-                    logvar[rows] = lv_m
+                    f"member assignment covers {groups.order.size} "
+                    f"particles, expected {p}")
+            mu, logvar = self.model.grouped_forward(x, groups)
         else:
             mean_all, lv_all = self.model.forward(x)
             elites = self.model.elite_indices
@@ -396,7 +447,7 @@ class TrainerReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
+        with replace_on_success(path) as tmp, open(tmp, "w") as f:
             json.dump(self.to_dict(), f, indent=2)
 
 
@@ -485,6 +536,7 @@ class ModelEnvState:
     obs: np.ndarray                      # (P, S)
     member_assignment: np.ndarray | None  # (P,) ints, fixed_model only
     done: np.ndarray                     # (P,) bool
+    groups: MemberGroups | None = None   # the assignment grouped by member
 
 
 class ModelEnv:
@@ -510,12 +562,15 @@ class ModelEnv:
         p = initial_obs.shape[0]
         if p < 1:
             raise ValidationError("need at least one particle")
-        assignment = None
+        assignment = groups = None
         if self.wrapper.propagation == "fixed_model":
-            elites = np.asarray(self.wrapper.model.elite_indices)
+            model = self.wrapper.model
+            elites = np.asarray(model.elite_indices)
             assignment = elites[rng.integers(0, len(elites), size=p)]
+            groups = MemberGroups.from_assignment(assignment,
+                                                  model.ensemble_size)
         return ModelEnvState(initial_obs.copy(), assignment,
-                             np.zeros(p, dtype=bool))
+                             np.zeros(p, dtype=bool), groups)
 
     def step(self, state: ModelEnvState, actions: np.ndarray,
              rng: np.random.Generator, sample: bool = False):
@@ -526,7 +581,7 @@ class ModelEnv:
                 f"({state.obs.shape[0]}, {self.wrapper.act_dim})")
         pred_obs, pred_reward = self.wrapper.sample(
             state.obs, actions, rng, sample=sample,
-            member_assignment=state.member_assignment)
+            member_assignment=state.member_assignment, groups=state.groups)
         active = ~state.done
         next_obs = np.where(active[:, None], pred_obs, state.obs)
         if self.reward_fn is not None:
@@ -535,7 +590,8 @@ class ModelEnv:
             reward = pred_reward
         rewards = np.where(active, reward, 0.0)
         dones = state.done | self.termination_fn(actions, next_obs)
-        new_state = ModelEnvState(next_obs, state.member_assignment, dones)
+        new_state = ModelEnvState(next_obs, state.member_assignment, dones,
+                                  state.groups)
         return next_obs, rewards, dones, new_state
 
 

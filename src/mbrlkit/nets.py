@@ -8,10 +8,13 @@ anchored to central finite differences in the test suite.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
+
+from .fileio import replace_on_success
 
 ACTIVATIONS = ("silu", "relu")
 
@@ -24,17 +27,36 @@ def softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) on numpy's vectorized exp, ~3x faster than expit.
+
+    Below x = -709.78 exp(-x) overflows to inf and the result is 0, as with
+    expit; that overflow is expected, so it is not reported.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def silu(x: np.ndarray) -> np.ndarray:
-    return x * sigmoid(x)
+    return x * _logistic(x)
+
+
+def _silu_inplace(x: np.ndarray) -> np.ndarray:
+    x *= _logistic(x)
+    return x
 
 
 def silu_grad(x: np.ndarray) -> np.ndarray:
-    s = sigmoid(x)
+    s = _logistic(x)
     return s * (1.0 + x * (1.0 - s))
 
 
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
+
+
+def _relu_inplace(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0, out=x)
 
 
 def relu_grad(x: np.ndarray) -> np.ndarray:
@@ -76,6 +98,8 @@ class DenseNet:
             self.weights.append(truncated_normal(rng, (fan_out, fan_in), std))
             self.biases.append(np.zeros(fan_out))
         self._act = silu if activation == "silu" else relu
+        self._act_inplace = (_silu_inplace if activation == "silu"
+                             else _relu_inplace)
         self._act_grad = silu_grad if activation == "silu" else relu_grad
         self._cache = None
 
@@ -91,21 +115,30 @@ class DenseNet:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
     def forward(self, x: np.ndarray, cache: bool = False) -> np.ndarray:
+        """Output for x (B, in). cache=True keeps the layer inputs and
+        pre-activations for `backward`; without it the bias and activation
+        are applied in place and nothing is kept."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_size:
             raise ValueError(f"expected (B, {self.in_size}) input, got {x.shape}")
+        h = x
+        last = len(self.weights) - 1
+        if not cache:
+            for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+                h = h @ w.T
+                h += b
+                if i < last:
+                    self._act_inplace(h)
+            return h
         inputs = [x]   # layer inputs (post-activation of previous layer)
         pre = []       # pre-activation values
-        h = x
-        n_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = h @ w.T + b
             pre.append(z)
-            h = self._act(z) if i < n_layers - 1 else z
-            if i < n_layers - 1:
+            h = self._act(z) if i < last else z
+            if i < last:
                 inputs.append(h)
-        if cache:
-            self._cache = (inputs, pre)
+        self._cache = (inputs, pre)
         return h
 
     def backward(self, upstream_grad: np.ndarray):
@@ -203,12 +236,19 @@ CHECKPOINT_VERSION = 1
 
 
 def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
-    """Versioned named-array checkpoint; round-trips bit-exactly via npz."""
+    """Versioned named-array checkpoint; round-trips bit-exactly via npz.
+
+    Like np.savez, appends .npz to a path without it. The file is replaced
+    whole, never torn."""
     payload = {k: np.asarray(v) for k, v in arrays.items()}
     header = {"version": CHECKPOINT_VERSION, "meta": meta or {}}
     payload["__header__"] = np.frombuffer(
         json.dumps(header).encode(), dtype=np.uint8)
-    np.savez(path, **payload)
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
+    with replace_on_success(path) as tmp:
+        np.savez(tmp, **payload)
 
 
 def load_arrays(path):

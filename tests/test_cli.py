@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 import yaml
 
 from mbrlkit import algorithms, diagnostics
@@ -62,6 +63,40 @@ class TestTrainCommand:
     def test_missing_config_exit_1(self, tmp_path):
         assert cli_main(["train", "--config",
                          str(tmp_path / "nope.yaml")]) == 1
+
+
+class TestValueCombinationErrors:
+    """Invalid value combinations exit 2 and name the config section."""
+
+    def write(self, tmp_path, doc):
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        return path
+
+    @pytest.mark.parametrize("command", ["train", "true-env-control"])
+    def test_optimizer_elites_exceed_population(self, tmp_path, capsys,
+                                                command):
+        # 25 default elites do not fit a population of 20
+        path = self.write(tmp_path, {"optimizer": {"population": 20}})
+        assert cli_main([command, "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert ("optimizer: need 1 <= elite_count <= population"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"dynamics_model": {"elite_count": 9}},
+         "dynamics_model: elite_count exceeds ensemble_size"),
+        ({"agent": {"horizon": 30}, "overrides": {"trial_length": 20}},
+         "agent: horizon exceeds trial_length"),
+        ({"overrides": {"model_retrain_interval": 0}},
+         "overrides: model_retrain_interval must be >= 1"),
+    ])
+    def test_train_names_section(self, tmp_path, capsys, doc, message):
+        path = self.write(tmp_path, doc)
+        assert cli_main(["train", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "results.csv").exists()
 
 
 class TestCEMDefault:

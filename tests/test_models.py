@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbrlkit.data import (BootstrapIterator, ReplayBuffer, Transition,
                           TransitionBatch, TransitionIterator, ValidationError)
-from mbrlkit.models import (GaussianMLPEnsemble, ModelEnv, ModelTrainer,
-                            TransitionRewardWrapper, gaussian_nll_loss,
-                            load_model, mse_loss, save_model)
+from mbrlkit.models import (GaussianMLPEnsemble, MemberGroups, ModelEnv,
+                            ModelTrainer, TransitionRewardWrapper,
+                            gaussian_nll_loss, load_model, mse_loss,
+                            save_model)
 from mbrlkit.nets import AdamState
 from mbrlkit.envs import no_termination
 
@@ -484,6 +487,144 @@ class TestModelEnv:
         assert np.array_equal(obs2[0], obs1[0])
         assert r2[0] == 0.0 and r2[1] != 0.0
         assert d2[0]
+
+
+def per_member_reference(wrapper, obs, act, assignment, rng, sample):
+    """Member m forwards the rows assigned to it, in ascending particle
+    order, one member at a time; then one (P, D) noise block."""
+    model = wrapper.model
+    x = wrapper.normalizer.normalize(np.concatenate([obs, act], axis=1))
+    mu = np.empty((len(x), model.out_size))
+    logvar = np.empty_like(mu)
+    for m in np.unique(assignment):
+        rows = np.flatnonzero(assignment == m)
+        mu[rows], lv = model.member_forward(int(m), x[rows])
+        if lv is not None:
+            logvar[rows] = lv
+    if sample and not model.deterministic:
+        mu = mu + np.exp(0.5 * logvar) * rng.standard_normal(mu.shape)
+    return obs + mu
+
+
+def per_particle_reference(wrapper, obs, act, assignment):
+    """Each particle alone through its own member's mean head."""
+    x = wrapper.normalizer.normalize(np.concatenate([obs, act], axis=1))
+    return obs + np.concatenate([
+        wrapper.model.member_forward(int(m), x[i:i + 1])[0]
+        for i, m in enumerate(assignment)])
+
+
+@st.composite
+def grouped_cases(draw):
+    """A small ensemble, the members present (an elite subset, possibly
+    leaving members without particles) and a particle count that need not
+    divide by the ensemble size."""
+    e = draw(st.integers(min_value=1, max_value=5))
+    present = draw(st.lists(st.integers(min_value=0, max_value=e - 1),
+                            min_size=1, max_size=e, unique=True))
+    p = draw(st.integers(min_value=1, max_value=37))
+    return {
+        "ensemble_size": e,
+        "present": present,
+        "assignment": np.array(draw(st.lists(st.sampled_from(present),
+                                             min_size=p, max_size=p))),
+        "activation": draw(st.sampled_from(["relu", "silu"])),
+        "deterministic": draw(st.booleans()),
+        "seed": draw(st.integers(min_value=0, max_value=2 ** 16)),
+    }
+
+
+def grouped_wrapper(case):
+    rng = np.random.default_rng(case["seed"])
+    model = GaussianMLPEnsemble(3, 2, ensemble_size=case["ensemble_size"],
+                                num_layers=3, hid_size=8,
+                                activation=case["activation"],
+                                deterministic=case["deterministic"], rng=rng)
+    model.set_elite(case["present"])
+    w = TransitionRewardWrapper(model, 2, 1)
+    w.update_normalizer(linear_system_batch(rng, 30))
+    return w, rng
+
+
+class TestGroupedSampling:
+    """Particles grouped once per rollout (`MemberGroups`) give the results
+    of forwarding each member's particles on their own."""
+
+    @given(grouped_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_sample_matches_references(self, case):
+        w, rng = grouped_wrapper(case)
+        assignment = case["assignment"]
+        p = len(assignment)
+        obs = rng.standard_normal((p, 2))
+        act = rng.standard_normal((p, 1))
+        groups = MemberGroups.from_assignment(assignment,
+                                              case["ensemble_size"])
+        expected = per_member_reference(w, obs, act, assignment,
+                                        np.random.default_rng(1), True)
+        for kwargs in ({"member_assignment": assignment},
+                       {"groups": groups}):
+            got, _ = w.sample(obs, act, np.random.default_rng(1),
+                              sample=True, **kwargs)
+            assert np.array_equal(got, expected)
+        # each particle alone gives the same rows up to rounding: a row's
+        # matmul result depends on how many rows share the BLAS call
+        mean, _ = w.sample(obs, act, rng, sample=False, groups=groups)
+        np.testing.assert_allclose(
+            mean, per_particle_reference(w, obs, act, assignment),
+            rtol=1e-12, atol=1e-12)
+
+    @given(grouped_cases(), st.integers(min_value=1, max_value=6))
+    @settings(max_examples=40, deadline=None)
+    def test_rollout_matches_reference_and_freezes(self, case, horizon):
+        w, rng = grouped_wrapper(case)
+        p = len(case["assignment"])
+        menv = ModelEnv(w, lambda a, o: np.abs(o[:, 0]) > 1.0,
+                        reward_fn=lambda a, o: o.sum(axis=1) + 1.0)
+        obs0 = rng.standard_normal((p, 2)) * 0.7
+        actions = rng.standard_normal((horizon, p, 1))
+        state = menv.reset(obs0, np.random.default_rng(2))
+        assignment = state.member_assignment
+        assert set(assignment.tolist()) <= set(case["present"])
+        sample = not case["deterministic"]
+        env_rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        ref_obs, ref_done = obs0.copy(), np.zeros(p, dtype=bool)
+        for t in range(horizon):
+            was_done = state.done
+            prev_obs = state.obs
+            obs, rewards, dones, state = menv.step(state, actions[t], env_rng,
+                                                   sample=sample)
+            pred = per_member_reference(w, ref_obs, actions[t], assignment,
+                                        ref_rng, sample)
+            ref_next = np.where(ref_done[:, None], ref_obs, pred)
+            ref_rewards = np.where(ref_done, 0.0, ref_next.sum(axis=1) + 1.0)
+            ref_done = ref_done | (np.abs(ref_next[:, 0]) > 1.0)
+            ref_obs = ref_next
+            assert np.array_equal(obs, ref_obs)
+            assert np.array_equal(rewards, ref_rewards)
+            assert np.array_equal(dones, ref_done)
+            # frozen particles never move and earn nothing
+            assert np.array_equal(obs[was_done], prev_obs[was_done])
+            assert np.all(rewards[was_done] == 0.0)
+            assert np.all(dones[was_done])
+
+    def test_groups_order_and_bounds(self):
+        groups = MemberGroups.from_assignment(np.array([2, 0, 2, 2, 0]), 4)
+        assert groups.order.tolist() == [1, 4, 0, 2, 3]
+        assert groups.bounds.tolist() == [0, 2, 2, 5, 5]
+
+    def test_bad_assignment_rejected(self):
+        with pytest.raises(ValidationError):
+            MemberGroups.from_assignment(np.array([0, 3]), 3)
+        with pytest.raises(ValidationError):
+            MemberGroups.from_assignment(np.array([0, -1]), 3)
+        model = GaussianMLPEnsemble(3, 2, ensemble_size=2, num_layers=2,
+                                    hid_size=4, rng=np.random.default_rng(0))
+        w = TransitionRewardWrapper(model, 2, 1)
+        groups = MemberGroups.from_assignment(np.array([0, 1, 1]), 2)
+        with pytest.raises(ValidationError):
+            w.sample(np.zeros((2, 2)), np.zeros((2, 1)),
+                     np.random.default_rng(0), groups=groups)
 
 
 class TestCheckpoint:

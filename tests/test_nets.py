@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from mbrlkit.nets import (AdamState, DenseNet, load_arrays, save_arrays,
                           sigmoid, silu, silu_grad)
@@ -129,6 +132,39 @@ class TestSiLU:
         z = np.linspace(-5, 5, 101)
         s = sigmoid(z)
         assert np.allclose(silu_grad(z), s * (1 + z * (1 - s)))
+
+
+class TestSiLUKernel:
+    """silu/silu_grad against x * expit(x) and its expit-based derivative,
+    including the range where exp(-x) overflows."""
+
+    grid = np.linspace(-1000.0, 1000.0, 400_001)
+
+    def test_matches_expit_reference(self):
+        s = expit(self.grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value = silu(self.grid)
+            grad = silu_grad(self.grid)
+        np.testing.assert_allclose(value, self.grid * s, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(grad, s * (1.0 + self.grid * (1.0 - s)),
+                                   rtol=1e-14, atol=0)
+
+    def test_saturated_ends(self):
+        x = np.array([-1000.0, -710.0, 710.0, 1000.0])
+        assert np.array_equal(silu(x), [0.0, 0.0, 710.0, 1000.0])
+        assert np.array_equal(silu_grad(x), [0.0, 0.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("activation", ["relu", "silu"])
+    def test_inference_forward_matches_cached_forward(self, activation):
+        rng = np.random.default_rng(3)
+        net = DenseNet([5, 16, 16, 4], activation=activation, rng=rng)
+        x = rng.standard_normal((40, 5)) * 50.0
+        x_before = x.copy()
+        lean = net.forward(x)
+        assert net._cache is None
+        assert np.array_equal(lean, net.forward(x, cache=True))
+        assert np.array_equal(x, x_before)
 
 
 class TestDeterminism:
