@@ -572,6 +572,17 @@ class ModelEnv:
         return ModelEnvState(initial_obs.copy(), assignment,
                              np.zeros(p, dtype=bool), groups)
 
+    def select(self, state: ModelEnvState, rows) -> ModelEnvState:
+        """The particles `rows` (indices or a boolean mask) of state, each
+        keeping its observation, member and done flag, regrouped by member."""
+        assignment = groups = None
+        if state.member_assignment is not None:
+            assignment = state.member_assignment[rows]
+            groups = MemberGroups.from_assignment(
+                assignment, self.wrapper.model.ensemble_size)
+        return ModelEnvState(state.obs[rows], assignment, state.done[rows],
+                             groups)
+
     def step(self, state: ModelEnvState, actions: np.ndarray,
              rng: np.random.Generator, sample: bool = False):
         actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))

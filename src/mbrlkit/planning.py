@@ -144,18 +144,54 @@ def evaluate_action_sequences(model_env, initial_obs: np.ndarray,
     model particles (fixed_model propagation assigns each its own ensemble
     member); the value is the particle-mean of the summed predicted rewards,
     honoring done masks. Sequences producing non-finite outputs get -inf.
+
+    When the rollout draws no noise (`sample` off, or a deterministic
+    model), particles of one sequence that share a member (all of them
+    under ensemble_mean) follow the same trajectory, and a finished particle
+    earns 0 from then on. Such a rollout steps each distinct particle once
+    and drops particles from the step after they finish; each particle's
+    return is then scattered back for the mean. The member draw in
+    `model_env.reset` is the same and no step draws from rng, so values and
+    the rng state match stepping every particle, with one caveat: OpenBLAS
+    may round a row in the last bit differently when it shares a matmul
+    with fewer rows, so predicted states, and a continuous return, can
+    differ in the last bit. Noisy rollouts step every particle, each with
+    its own noise.
     """
     sequences = np.asarray(sequences, dtype=np.float64)
     n, horizon, act_dim = sequences.shape
     initial_obs = np.asarray(initial_obs, dtype=np.float64).ravel()
     obs_tiled = np.repeat(initial_obs[None], n * particles, axis=0)
     state = model_env.reset(obs_tiled, rng)
-    total = np.zeros(n * particles)
-    actions_tiled = np.repeat(sequences, particles, axis=0)  # (N*P, h, A)
+    model = model_env.wrapper.model
+    noisy = sample and not model.deterministic
+    if noisy:
+        # every particle draws its own noise: step them all, in order
+        first = inverse = np.arange(n * particles)
+    else:
+        key = np.repeat(np.arange(n), particles)
+        if state.member_assignment is not None:
+            key = key * model.ensemble_size + state.member_assignment
+        _, first, inverse = np.unique(key, return_index=True,
+                                      return_inverse=True)
+        state = model_env.select(state, first)
+    actions = sequences[first // particles]  # (rows, h, A)
+    returns = np.zeros(first.size)
+    live = np.arange(first.size)
+    running = np.zeros(first.size)
     for t in range(horizon):
-        _, rewards, _, state = model_env.step(
-            state, actions_tiled[:, t], rng, sample=sample)
-        total += rewards
+        _, rewards, dones, state = model_env.step(
+            state, actions[:, t], rng, sample=sample)
+        running += rewards
+        if not noisy and dones.any():
+            returns[live[dones]] = running[dones]
+            keep = ~dones
+            live, running, actions = live[keep], running[keep], actions[keep]
+            if not live.size:
+                break
+            state = model_env.select(state, keep)
+    returns[live] = running
+    total = returns[inverse]
     values = total.reshape(n, particles)
     bad = ~np.all(np.isfinite(values), axis=1)
     out = values.mean(axis=1)

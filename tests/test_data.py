@@ -79,7 +79,7 @@ class TestReplayBuffer:
 
     @given(st.integers(min_value=1, max_value=8),
            st.integers(min_value=1, max_value=40))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_fifo_matches_reference_queue(self, capacity, inserts):
         buf = ReplayBuffer(capacity)
         ref = deque(maxlen=capacity)
@@ -134,7 +134,7 @@ class TestSplit:
 
     @given(st.integers(min_value=1, max_value=60),
            st.floats(min_value=0.0, max_value=0.99))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_split_coverage(self, n, ratio):
         buf = filled_buffer(n)
         train_iter, val_iter = train_val_split(buf, ratio, 8,
@@ -171,6 +171,28 @@ class TestIterators:
                                rng=np.random.default_rng(0))
         emitted = np.concatenate([b.obs[0, :, 0] for b in it]).astype(int)
         assert sorted(emitted.tolist()) == sorted(it.member_indices[0].tolist())
+
+    @given(st.integers(min_value=1, max_value=40),
+           st.integers(min_value=1, max_value=50),
+           st.integers(min_value=1, max_value=5), st.booleans(),
+           st.integers(min_value=0, max_value=2 ** 16))
+    @settings(max_examples=60)
+    def test_members_draw_only_their_own_resample(self, n, batch_size,
+                                                  ensemble_size, shuffle,
+                                                  seed):
+        data = filled_buffer(n).get_all()
+        it = BootstrapIterator(data, batch_size, ensemble_size,
+                               np.random.default_rng(seed),
+                               shuffle_each_epoch=shuffle)
+        for _ in range(2):
+            batches = list(it)
+            assert len(batches) == len(it)
+            obs = np.concatenate([b.obs[..., 0] for b in batches], axis=1)
+            reward = np.concatenate([b.reward for b in batches], axis=1)
+            assert np.array_equal(obs, reward)  # whole rows, never mixed
+            for e in range(ensemble_size):
+                assert (sorted(obs[e].astype(int).tolist())
+                        == sorted(it.member_indices[e].tolist()))
 
     def test_bootstrap_resamples_independent(self):
         # with N=1000 the two member resamples should essentially never match

@@ -551,7 +551,7 @@ class TestGroupedSampling:
     of forwarding each member's particles on their own."""
 
     @given(grouped_cases())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_sample_matches_references(self, case):
         w, rng = grouped_wrapper(case)
         assignment = case["assignment"]
@@ -575,7 +575,7 @@ class TestGroupedSampling:
             rtol=1e-12, atol=1e-12)
 
     @given(grouped_cases(), st.integers(min_value=1, max_value=6))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_rollout_matches_reference_and_freezes(self, case, horizon):
         w, rng = grouped_wrapper(case)
         p = len(case["assignment"])

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mbrlkit import planning
+from mbrlkit.algorithms import PETSConfig, pets_run
 from mbrlkit.data import ValidationError
-from mbrlkit.envs import no_termination
+from mbrlkit.envs import cartpole_reward, cartpole_termination, no_termination
 from mbrlkit.models import (GaussianMLPEnsemble, ModelEnv,
                             TransitionRewardWrapper)
 from mbrlkit.planning import (Agent, CEMConfig, RandomAgent,
@@ -108,7 +110,7 @@ class TestCEM:
         assert abs(res.solution[0] - 3.0) < 1.0
 
     @given(st.integers(min_value=0, max_value=1000))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_candidates_within_bounds(self, seed):
         lower, upper = -0.5, 2.0
         cfg = CEMConfig(population=40, elite_count=4, iterations=2,
@@ -120,6 +122,39 @@ class TestCEM:
 
         cem_optimize(objective, cfg, np.zeros(3), lower, upper,
                      np.random.default_rng(seed))
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_candidates_in_box_and_variance_capped(self, data):
+        d = data.draw(st.integers(min_value=1, max_value=4))
+        coords = st.lists(st.floats(min_value=-10.0, max_value=10.0),
+                          min_size=d, max_size=d)
+        widths = st.lists(st.floats(min_value=1e-3, max_value=20.0),
+                          min_size=d, max_size=d)
+        lower = np.array(data.draw(coords))
+        upper = lower + np.array(data.draw(widths))
+        target = np.array(data.draw(coords))
+        var_cap = ((upper - lower) / 2.0) ** 2
+        cfg = CEMConfig(
+            population=30, elite_count=3, iterations=3,
+            alpha=data.draw(st.floats(min_value=0.0, max_value=1.0,
+                                      exclude_max=True)),
+            initial_var=float(var_cap.max()) * data.draw(
+                st.floats(min_value=1.0, max_value=100.0, exclude_min=True)))
+        seen = []
+
+        def objective(x):
+            seen.append(x.copy())
+            return -np.sum((x - target) ** 2, axis=1)
+
+        res = cem_optimize(objective, cfg, (lower + upper) / 2.0, lower,
+                           upper, np.random.default_rng(
+                               data.draw(st.integers(0, 2 ** 16))))
+        for x in seen:
+            assert np.all(x >= lower) and np.all(x <= upper)
+        assert len(res.trace) == cfg.iterations
+        for row in res.trace:
+            assert row.var_norm <= np.linalg.norm(var_cap)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValidationError):
@@ -194,6 +229,165 @@ class TestEvaluateActionSequences:
                 obs = obs + seqs[i, t, 0]
                 total += obs
             assert values[i] == pytest.approx(total, abs=1e-12)
+
+
+def full_row_evaluate(model_env, initial_obs, sequences, particles, rng,
+                      sample=True, trace=None):
+    """Reference evaluator: every particle, finished or not, is stepped at
+    every step. trace, when given, receives each step's (member
+    assignment, done mask) from before the step."""
+    sequences = np.asarray(sequences, dtype=np.float64)
+    n, horizon, _ = sequences.shape
+    obs_tiled = np.repeat(np.ravel(initial_obs)[None], n * particles, axis=0)
+    state = model_env.reset(obs_tiled, rng)
+    total = np.zeros(n * particles)
+    actions = np.repeat(sequences, particles, axis=0)
+    for t in range(horizon):
+        if trace is not None:
+            trace.append((state.member_assignment, state.done))
+        _, rewards, _, state = model_env.step(state, actions[:, t], rng,
+                                              sample=sample)
+        total += rewards
+    values = total.reshape(n, particles)
+    out = values.mean(axis=1)
+    out[~np.all(np.isfinite(values), axis=1)] = -np.inf
+    return out
+
+
+def continuous_reward(actions, next_obs):
+    return -np.sum(next_obs ** 2, axis=1) - 0.01 * actions[:, 0] ** 2
+
+
+@st.composite
+def rollout_cases(draw, noisy=False):
+    """A small cartpole-shaped ensemble (an elite subset of E members), a
+    propagation method and a batch of N candidates x P particles x h steps.
+    Noise-free unless noisy: deterministic models with sample on or off,
+    probabilistic ones with sample off."""
+    e = draw(st.integers(min_value=1, max_value=5))
+    if noisy:
+        deterministic, sample = False, True
+    else:
+        deterministic = draw(st.booleans())
+        sample = draw(st.booleans()) if deterministic else False
+    return {
+        "ensemble_size": e,
+        "elites": draw(st.lists(st.integers(min_value=0, max_value=e - 1),
+                                min_size=1, max_size=e, unique=True)),
+        "deterministic": deterministic,
+        "sample": sample,
+        "propagation": draw(st.sampled_from(
+            TransitionRewardWrapper.PROPAGATION_METHODS)),
+        "activation": draw(st.sampled_from(["relu", "silu"])),
+        "reward": draw(st.sampled_from(["cartpole", "continuous"])),
+        "particles": draw(st.integers(min_value=1, max_value=7)),
+        "n": draw(st.integers(min_value=1, max_value=9)),
+        "horizon": draw(st.integers(min_value=1, max_value=6)),
+        "seed": draw(st.integers(min_value=0, max_value=2 ** 16)),
+    }
+
+
+def cartpole_model_rollout(case):
+    """(model env, initial obs, sequences) for a rollout case; the cartpole
+    termination ends particles at different steps."""
+    rng = np.random.default_rng(case["seed"])
+    model = GaussianMLPEnsemble(5, 4, ensemble_size=case["ensemble_size"],
+                                num_layers=3, hid_size=8,
+                                activation=case["activation"],
+                                deterministic=case["deterministic"], rng=rng)
+    model.set_elite(case["elites"])
+    for member in model.members:
+        member.weights[-1] *= 3.0  # steps large enough to end some particles
+    wrapper = TransitionRewardWrapper(model, 4, 1,
+                                      propagation=case["propagation"])
+    wrapper.normalizer.fit(rng.standard_normal((30, 5)))
+    reward_fn = (cartpole_reward if case["reward"] == "cartpole"
+                 else continuous_reward)
+    menv = ModelEnv(wrapper, cartpole_termination, reward_fn)
+    obs0 = rng.uniform(-0.2, 0.2, 4)
+    seqs = rng.uniform(-1.0, 1.0, (case["n"], case["horizon"], 1))
+    return menv, obs0, seqs
+
+
+def count_sample_rows(wrapper):
+    """Rows handed to each wrapper.sample call, recorded into the list
+    returned."""
+    rows = []
+    original = wrapper.sample
+
+    def counting(obs, *args, **kwargs):
+        rows.append(len(obs))
+        return original(obs, *args, **kwargs)
+
+    wrapper.sample = counting
+    return rows
+
+
+class TestDistinctParticleRollouts:
+    """Noise-free rollouts step each distinct, unfinished particle once and
+    score like the full-row reference."""
+
+    @given(rollout_cases())
+    @settings(max_examples=120)
+    def test_noise_free_matches_full_rows(self, case):
+        menv, obs0, seqs = cartpole_model_rollout(case)
+        p, sample = case["particles"], case["sample"]
+        trace = []
+        ref_rng = np.random.default_rng(7)
+        expected = full_row_evaluate(menv, obs0, seqs, p, ref_rng, sample,
+                                     trace)
+        rows = count_sample_rows(menv.wrapper)
+        rng = np.random.default_rng(7)
+        got = evaluate_action_sequences(menv, obs0, seqs, p, rng, sample)
+        if case["reward"] == "cartpole":
+            assert np.array_equal(got, expected)
+        else:
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # one row per distinct (candidate, member) key, or per candidate
+        # under ensemble_mean, among the particles not yet finished
+        candidate = np.repeat(np.arange(case["n"]), p)
+        live_keys = []
+        for assignment, done in trace:
+            key = candidate
+            if assignment is not None:
+                key = candidate * case["ensemble_size"] + assignment
+            live = np.unique(key[~done]).size
+            if not live:
+                break
+            live_keys.append(live)
+        assert rows == live_keys
+
+    @given(rollout_cases(noisy=True))
+    @settings(max_examples=40)
+    def test_noisy_matches_full_rows_bit_for_bit(self, case):
+        menv, obs0, seqs = cartpole_model_rollout(case)
+        p = case["particles"]
+        ref_rng = np.random.default_rng(7)
+        expected = full_row_evaluate(menv, obs0, seqs, p, ref_rng, True)
+        rows = count_sample_rows(menv.wrapper)
+        rng = np.random.default_rng(7)
+        got = evaluate_action_sequences(menv, obs0, seqs, p, rng, True)
+        assert np.array_equal(got, expected)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rows == [case["n"] * p] * case["horizon"]
+
+    def test_pets_run_artifacts_match_full_rows(self, tmp_path, monkeypatch):
+        def run(out):
+            cfg = PETSConfig(
+                num_trials=3, trial_length=60, initial_exploration_steps=60,
+                hid_size=16, use_silu=False, num_epochs=5, horizon=8,
+                particles=5,
+                cem=CEMConfig(population=40, elite_count=5, iterations=3),
+                seed=3)
+            pets_run(cfg, out_dir=out)
+            return [(out / name).read_bytes()
+                    for name in ("results.csv", "buffer.dat")]
+
+        distinct = run(tmp_path / "distinct")
+        monkeypatch.setattr(planning, "evaluate_action_sequences",
+                            full_row_evaluate)
+        assert run(tmp_path / "full") == distinct
 
 
 class TestRandomAgent:
