@@ -188,9 +188,11 @@ def pets_run(cfg: PETSConfig, env=None, term_fn=None, reward_fn=None,
     buffer = ReplayBuffer(capacity)
     wrapper = build_wrapper(cfg, spec.obs_dim, spec.act_dim, rng)
     trainer = ModelTrainer(wrapper, lr=cfg.lr, elite_count=cfg.elite_count)
+    # planning rollouts forward the model in float32; training stays float64
     model_env = ModelEnv(
         wrapper, term_fn,
-        reward_fn=None if cfg.learned_rewards else reward_fn)
+        reward_fn=None if cfg.learned_rewards else reward_fn,
+        dtype=np.float32)
     agent = create_mpc_agent(
         model_env, cfg.horizon, spec.act_dim, spec.action_low,
         spec.action_high, particles=cfg.particles, cem_config=cfg.cem,

@@ -16,6 +16,7 @@ import numpy as np
 from . import algorithms, config as config_mod, diagnostics
 from .data import ReplayBuffer, ValidationError
 from .envs import make_env
+from .fileio import replace_on_success
 from .models import ModelEnv, load_model
 from .planning import create_mpc_agent
 
@@ -106,7 +107,8 @@ def _cmd_true_env_control(args) -> int:
         cfg.env_name, cem, args.horizon, args.episodes, seed=args.seed,
         trial_length=cfg.overrides.get("trial_length"))
     args.out.mkdir(parents=True, exist_ok=True)
-    with open(args.out / "returns.csv", "w") as f:
+    with replace_on_success(args.out / "returns.csv") as tmp, \
+            open(tmp, "w") as f:
         f.write("episode,episode_return\n")
         for i, ret in enumerate(returns):
             f.write(f"{i},{ret!r}\n")

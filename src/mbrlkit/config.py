@@ -15,6 +15,7 @@ import yaml
 from .algorithms import PETSConfig
 from .data import ValidationError
 from .envs import ENV_CLASSES
+from .fileio import replace_on_success
 from .planning import CEMConfig
 
 SENTINEL = "???"
@@ -177,6 +178,8 @@ def to_pets_config(cfg: RunConfig, seed: int = 0) -> PETSConfig:
 
 
 def save_config_snapshot(cfg: RunConfig, path) -> None:
+    """Writes the resolved config as YAML; the file is replaced whole, never
+    torn."""
     doc = {name: getattr(cfg, name) for name in _SCHEMA}
-    with open(path, "w") as f:
+    with replace_on_success(path) as tmp, open(tmp, "w") as f:
         yaml.safe_dump(doc, f, sort_keys=True)

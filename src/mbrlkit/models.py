@@ -148,21 +148,27 @@ class GaussianMLPEnsemble:
         return out[:, :self.out_size], logvar
 
     def member_forward(self, e: int, x: np.ndarray, cache: bool = False):
-        """Member e's heads for x (B, in): (mean, logvar), each (B, out);
-        logvar is None when deterministic."""
-        return self._heads(self.members[e].forward(x, cache=cache))
+        """Member e's heads for x (B, in): (mean, logvar), each (B, out) and
+        float64 whatever precision the member forward ran in; logvar is None
+        when deterministic."""
+        out = self.members[e].forward(x, cache=cache)
+        return self._heads(out.astype(np.float64, copy=False))
 
     def grouped_forward(self, x: np.ndarray, groups: MemberGroups):
         """Heads for x (P, in) where row p goes through the member that
-        `groups` assigns to it: one gather, one forward per non-empty member
-        on a contiguous block, one scatter."""
-        x_sorted = x[groups.order]
+        `groups` assigns to it: one forward per non-empty member on a
+        contiguous block, with a gather before and a scatter after unless
+        the rows are already in member order. The forward runs in x's
+        precision (see `DenseNet.forward`); the heads are float64."""
+        x_sorted = x if groups.order is None else x[groups.order]
         out_sorted = np.empty((x.shape[0], self.layer_sizes[-1]))
         bounds = groups.bounds.tolist()
         for e in range(self.ensemble_size):
             lo, hi = bounds[e], bounds[e + 1]
             if hi > lo:
                 out_sorted[lo:hi] = self.members[e].forward(x_sorted[lo:hi])
+        if groups.order is None:
+            return self._heads(out_sorted)
         out = np.empty_like(out_sorted)
         out[groups.order] = out_sorted
         return self._heads(out)
@@ -170,11 +176,11 @@ class GaussianMLPEnsemble:
     def forward(self, x: np.ndarray, cache: bool = False):
         """Per-member heads.
 
-        x is (B, in) (broadcast to all members) or (E, B, in). Returns
-        (mean, logvar) with shapes (E, B, out); logvar is None when
-        deterministic.
+        x is (B, in) (broadcast to all members) or (E, B, in); a float32 x
+        is forwarded in float32 unless cache is set. Returns float64 (mean,
+        logvar) with shapes (E, B, out); logvar is None when deterministic.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
         if x.ndim == 2:
             xs = [x] * self.ensemble_size
         elif x.ndim == 3 and x.shape[0] == self.ensemble_size:
@@ -296,11 +302,13 @@ class MemberGroups:
     """Particles grouped by ensemble member.
 
     Member e propagates particles order[bounds[e]:bounds[e + 1]], in
-    ascending particle index; bounds has ensemble_size + 1 entries.
+    ascending particle index; bounds has ensemble_size + 1 entries. order is
+    None when the particles are already in member order, so that member e's
+    are the rows bounds[e]:bounds[e + 1] themselves.
     """
 
-    order: np.ndarray   # (P,) stable argsort of the member assignment
-    bounds: np.ndarray  # (E + 1,) slice bounds into order
+    order: np.ndarray | None  # (P,) stable argsort of the member assignment
+    bounds: np.ndarray         # (E + 1,) slice bounds into order
 
     @classmethod
     def from_assignment(cls, assignment, ensemble_size: int) -> "MemberGroups":
@@ -313,6 +321,8 @@ class MemberGroups:
             raise ValidationError("member index out of range")
         counts = np.bincount(assignment, minlength=ensemble_size)
         bounds = np.concatenate([[0], np.cumsum(counts)])
+        if np.all(assignment[:-1] <= assignment[1:]):
+            return cls(None, bounds)
         return cls(np.argsort(assignment, kind="stable"), bounds)
 
 
@@ -382,7 +392,7 @@ class TransitionRewardWrapper:
     def sample(self, obs: np.ndarray, action: np.ndarray,
                rng: np.random.Generator, sample: bool = True,
                member_assignment: np.ndarray | None = None,
-               groups: MemberGroups | None = None):
+               groups: MemberGroups | None = None, dtype=np.float64):
         """Per-particle next-state (and reward) prediction.
 
         With fixed_model propagation, member_assignment gives the ensemble
@@ -390,11 +400,13 @@ class TransitionRewardWrapper:
         built (as `ModelEnv` does once per rollout); with ensemble_mean,
         moments are averaged over the elites. The Gaussian noise draw is one
         (P, D) block so results do not depend on how particles are grouped
-        by member.
+        by member. The model forward runs in dtype (float32 or float64); its
+        outputs, the noise and the predictions are float64.
         """
         obs = np.asarray(obs, dtype=np.float64)
         action = np.asarray(action, dtype=np.float64)
         x = self.normalizer.normalize(np.concatenate([obs, action], axis=-1))
+        x = x.astype(dtype, copy=False)
         p = x.shape[0]
         d = self.model.out_size
         if self.propagation == "fixed_model":
@@ -404,9 +416,9 @@ class TransitionRewardWrapper:
                         "fixed_model propagation requires a member assignment")
                 groups = MemberGroups.from_assignment(
                     member_assignment, self.model.ensemble_size)
-            if groups.order.shape != (p,):
+            if groups.bounds[-1] != p:
                 raise ValidationError(
-                    f"member assignment covers {groups.order.size} "
+                    f"member assignment covers {groups.bounds[-1]} "
                     f"particles, expected {p}")
             mu, logvar = self.model.grouped_forward(x, groups)
         else:
@@ -544,17 +556,25 @@ class ModelEnv:
 
     Requires a termination function; rewards come from an optional analytic
     reward function or from the model's learned reward head. Finished
-    particles are frozen: observation held, reward zero thereafter.
+    particles are frozen: observation held, reward zero thereafter. dtype
+    (float32 or float64) is the precision of the model forward at each
+    step; observations, rewards, noise and done flags are float64 either
+    way.
     """
 
     def __init__(self, wrapper: TransitionRewardWrapper, termination_fn,
-                 reward_fn=None):
+                 reward_fn=None, dtype=np.float64):
         if reward_fn is None and not wrapper.learned_rewards:
             raise ValidationError(
                 "need a reward function when rewards are not learned")
+        dtype = np.dtype(dtype)
+        if dtype not in (np.float32, np.float64):
+            raise ValidationError(
+                f"model forward dtype must be float32 or float64, got {dtype}")
         self.wrapper = wrapper
         self.termination_fn = termination_fn
         self.reward_fn = reward_fn
+        self.dtype = dtype
 
     def reset(self, initial_obs: np.ndarray,
               rng: np.random.Generator) -> ModelEnvState:
@@ -574,12 +594,19 @@ class ModelEnv:
 
     def select(self, state: ModelEnvState, rows) -> ModelEnvState:
         """The particles `rows` (indices or a boolean mask) of state, each
-        keeping its observation, member and done flag, regrouped by member."""
+        keeping its observation, member and done flag, regrouped by member.
+        A mask keeps particles in member order, so only the bounds move."""
         assignment = groups = None
         if state.member_assignment is not None:
             assignment = state.member_assignment[rows]
-            groups = MemberGroups.from_assignment(
-                assignment, self.wrapper.model.ensemble_size)
+            rows = np.asarray(rows)
+            if rows.dtype == bool and state.groups is not None \
+                    and state.groups.order is None:
+                kept_before = np.concatenate([[0], np.cumsum(rows)])
+                groups = MemberGroups(None, kept_before[state.groups.bounds])
+            else:
+                groups = MemberGroups.from_assignment(
+                    assignment, self.wrapper.model.ensemble_size)
         return ModelEnvState(state.obs[rows], assignment, state.done[rows],
                              groups)
 
@@ -592,7 +619,8 @@ class ModelEnv:
                 f"({state.obs.shape[0]}, {self.wrapper.act_dim})")
         pred_obs, pred_reward = self.wrapper.sample(
             state.obs, actions, rng, sample=sample,
-            member_assignment=state.member_assignment, groups=state.groups)
+            member_assignment=state.member_assignment, groups=state.groups,
+            dtype=self.dtype)
         active = ~state.done
         next_obs = np.where(active[:, None], pred_obs, state.obs)
         if self.reward_fn is not None:

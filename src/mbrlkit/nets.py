@@ -1,8 +1,10 @@
 """Minimal dense-network substrate with hand-derived gradients.
 
-All math is float64. The backward pass is written for the fixed
-affine/activation architecture used by the Gaussian MLPs; correctness is
-anchored to central finite differences in the test suite.
+Parameters, gradients, training and checkpoints are float64; the
+inference forward (no cache) computes in float32 when its input is float32,
+which is how planning rollouts run. The backward pass is written for the
+fixed affine/activation architecture used by the Gaussian MLPs; correctness
+is anchored to central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -116,17 +118,21 @@ class DenseNet:
 
     def forward(self, x: np.ndarray, cache: bool = False) -> np.ndarray:
         """Output for x (B, in). cache=True keeps the layer inputs and
-        pre-activations for `backward`; without it the bias and activation
-        are applied in place and nothing is kept."""
-        x = np.asarray(x, dtype=np.float64)
+        pre-activations for `backward` and computes in float64; without it
+        the bias and activation are applied in place, nothing is kept, and a
+        float32 x is forwarded in float32 (the weights cast on each call),
+        any other x in float64."""
+        x = np.asarray(x)
+        if cache or x.dtype != np.float32:
+            x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_size:
             raise ValueError(f"expected (B, {self.in_size}) input, got {x.shape}")
         h = x
         last = len(self.weights) - 1
         if not cache:
             for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-                h = h @ w.T
-                h += b
+                h = h @ w.astype(h.dtype, copy=False).T
+                h += b.astype(h.dtype, copy=False)
                 if i < last:
                     self._act_inplace(h)
             return h

@@ -171,7 +171,9 @@ def evaluate_action_sequences(model_env, initial_obs: np.ndarray,
     else:
         key = np.repeat(np.arange(n), particles)
         if state.member_assignment is not None:
-            key = key * model.ensemble_size + state.member_assignment
+            # member-major keys: the distinct rows come out grouped by
+            # member, each member's in candidate order
+            key = state.member_assignment * n + key
         _, first, inverse = np.unique(key, return_index=True,
                                       return_inverse=True)
         state = model_env.select(state, first)

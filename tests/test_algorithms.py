@@ -7,6 +7,7 @@ from mbrlkit.algorithms import (LearningCurve, PETSConfig, build_wrapper,
 from mbrlkit.data import ReplayBuffer, ValidationError
 from mbrlkit.envs import EnvSpec, no_termination
 from mbrlkit.models import ModelTrainer
+from mbrlkit.nets import DenseNet, load_arrays
 from mbrlkit.planning import CEMConfig, RandomAgent
 
 
@@ -181,6 +182,25 @@ class TestPETSRun:
         assert (tmp_path / "trainer_report.json").exists()
         curve = LearningCurve.load(tmp_path / "results.csv")
         assert len(curve.rows) == cfg.num_trials
+
+    def test_plans_in_float32_trains_and_saves_float64(self, tmp_path,
+                                                       monkeypatch):
+        seen = set()
+        real_forward = DenseNet.forward
+
+        def spy(net, x, cache=False):
+            out = real_forward(net, x, cache)
+            seen.add((cache, out.dtype.name))
+            return out
+
+        monkeypatch.setattr(DenseNet, "forward", spy)
+        pets_run(small_cfg(deterministic=False), out_dir=tmp_path)
+        # training steps (cache) and elite scoring run in float64, the
+        # planning rollouts in float32
+        assert seen == {(True, "float64"), (False, "float64"),
+                        (False, "float32")}
+        arrays, _ = load_arrays(tmp_path / "model.ckpt.npz")
+        assert arrays and all(a.dtype == np.float64 for a in arrays.values())
 
     def test_same_seed_byte_identical_results(self, tmp_path):
         cfg = small_cfg()

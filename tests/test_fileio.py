@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from mbrlkit import algorithms, data, models
+from mbrlkit import algorithms, config, data, diagnostics, models
 from mbrlkit.algorithms import LearningCurve
+from mbrlkit.cli import cli_main
 from mbrlkit.data import ReplayBuffer, Transition
 from mbrlkit.fileio import replace_on_success
 from mbrlkit.models import (GaussianMLPEnsemble, TrainerReport,
@@ -154,3 +155,43 @@ class TestArtifactsAreNotTorn:
         assert json.loads(path.read_text())["train_losses"] == [1.0]
         assert path.read_bytes() == before
         assert leftovers(tmp_path, "trainer_report.json") == []
+
+    def test_config_snapshot(self, tmp_path, monkeypatch):
+        path = tmp_path / "config.yaml"
+        cfg = config.RunConfig(overrides={"num_trials": 3})
+        config.save_config_snapshot(cfg, path)
+        before = path.read_bytes()
+
+        def dump_then_fail(doc, f, **kwargs):
+            f.write("agent: {}\n")
+            raise Interrupted
+
+        monkeypatch.setattr(config.yaml, "safe_dump", dump_then_fail)
+        with pytest.raises(Interrupted):
+            config.save_config_snapshot(
+                config.RunConfig(overrides={"num_trials": 4}), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert config.load_config(path).overrides == {"num_trials": 3}
+        assert leftovers(tmp_path, "config.yaml") == []
+
+    def test_true_env_control_returns_csv(self, tmp_path, monkeypatch):
+        class FailingRepr(float):
+            def __repr__(self):
+                raise Interrupted
+
+        cfg = tmp_path / "cartpole.yaml"
+        cfg.write_text("overrides: {env: cartpole_continuous}\n")
+        out = tmp_path / "ctrl"
+        out.mkdir()
+        path = out / "returns.csv"
+        path.write_text("episode,episode_return\n0,200.0\n")
+        before = path.read_bytes()
+        # the first episode's row is written, then the second one's fails
+        monkeypatch.setattr(diagnostics, "true_env_cem_control",
+                            lambda *args, **kwargs: [7.0, FailingRepr(8.0)])
+        with pytest.raises(Interrupted):
+            cli_main(["true-env-control", "--config", str(cfg),
+                      "--episodes", "2", "--out", str(out)])
+        assert path.read_bytes() == before
+        assert leftovers(out, "returns.csv") == []

@@ -9,7 +9,7 @@ from mbrlkit.models import (GaussianMLPEnsemble, MemberGroups, ModelEnv,
                             ModelTrainer, TransitionRewardWrapper,
                             gaussian_nll_loss, load_model, mse_loss,
                             save_model)
-from mbrlkit.nets import AdamState
+from mbrlkit.nets import AdamState, DenseNet
 from mbrlkit.envs import no_termination
 
 
@@ -613,6 +613,28 @@ class TestGroupedSampling:
         assert groups.order.tolist() == [1, 4, 0, 2, 3]
         assert groups.bounds.tolist() == [0, 2, 2, 5, 5]
 
+    def test_member_ordered_particles_need_no_order(self):
+        groups = MemberGroups.from_assignment(np.array([0, 0, 2, 2, 2]), 4)
+        assert groups.order is None
+        assert groups.bounds.tolist() == [0, 2, 2, 5, 5]
+
+    def test_mask_select_keeps_member_order(self):
+        model = GaussianMLPEnsemble(3, 2, ensemble_size=4, num_layers=2,
+                                    hid_size=4, rng=np.random.default_rng(0))
+        menv = ModelEnv(TransitionRewardWrapper(model, 2, 1), no_termination,
+                        lambda a, o: o[:, 0])
+        state = menv.reset(np.zeros((40, 2)), np.random.default_rng(0))
+        state = menv.select(state, np.argsort(state.member_assignment,
+                                              kind="stable"))
+        assert state.groups.order is None
+        keep = np.random.default_rng(1).random(40) < 0.5
+        kept = menv.select(state, keep)
+        expected = MemberGroups.from_assignment(
+            state.member_assignment[keep], 4)
+        assert kept.groups.order is None
+        assert np.array_equal(kept.groups.bounds, expected.bounds)
+        assert np.array_equal(kept.obs, state.obs[keep])
+
     def test_bad_assignment_rejected(self):
         with pytest.raises(ValidationError):
             MemberGroups.from_assignment(np.array([0, 3]), 3)
@@ -625,6 +647,119 @@ class TestGroupedSampling:
         with pytest.raises(ValidationError):
             w.sample(np.zeros((2, 2)), np.zeros((2, 1)),
                      np.random.default_rng(0), groups=groups)
+
+
+# A float32 rollout may differ from the float64 one by this much relative to
+# 1 + |value|: 100 float32 ulps, far above the few ulps that three layers of
+# float32 rounding, compounded over six steps, produce.
+F32_TOL = 100 * np.finfo(np.float32).eps
+
+
+@st.composite
+def precision_cases(draw):
+    """A small ensemble (an elite subset of E members), a propagation
+    method, an activation, deterministic or probabilistic heads, and a
+    rollout of P particles over h steps."""
+    e = draw(st.integers(min_value=1, max_value=5))
+    return {
+        "ensemble_size": e,
+        "elites": draw(st.lists(st.integers(min_value=0, max_value=e - 1),
+                                min_size=1, max_size=e, unique=True)),
+        "propagation": draw(st.sampled_from(
+            TransitionRewardWrapper.PROPAGATION_METHODS)),
+        "activation": draw(st.sampled_from(["relu", "silu"])),
+        "deterministic": draw(st.booleans()),
+        "particles": draw(st.integers(min_value=1, max_value=40)),
+        "horizon": draw(st.integers(min_value=1, max_value=6)),
+        "seed": draw(st.integers(min_value=0, max_value=2 ** 16)),
+    }
+
+
+def precision_env(case, dtype):
+    rng = np.random.default_rng(case["seed"])
+    model = GaussianMLPEnsemble(5, 4, ensemble_size=case["ensemble_size"],
+                                num_layers=3, hid_size=16,
+                                activation=case["activation"],
+                                deterministic=case["deterministic"], rng=rng)
+    model.set_elite(case["elites"])
+    w = TransitionRewardWrapper(model, 4, 1, propagation=case["propagation"])
+    w.normalizer.fit(rng.standard_normal((30, 5)))
+    menv = ModelEnv(w, no_termination,
+                    reward_fn=lambda a, o: o.sum(axis=1) + 1.0, dtype=dtype)
+    p, h = case["particles"], case["horizon"]
+    return menv, rng.standard_normal((p, 4)), rng.uniform(-1.0, 1.0,
+                                                          (h, p, 1))
+
+
+class TestFloat32Forward:
+    """ModelEnv(dtype=np.float32) forwards the model in single precision and
+    stays within F32_TOL of the float64 rollout, drawing the same random
+    numbers; its observations and rewards are float64."""
+
+    @given(precision_cases())
+    @settings(max_examples=60)
+    def test_rollout_close_to_float64(self, case):
+        rollouts, rng_states = [], []
+        for dtype in (np.float64, np.float32):
+            menv, obs0, actions = precision_env(case, dtype)
+            rng = np.random.default_rng(1)
+            state = menv.reset(obs0, rng)
+            steps = []
+            for t in range(case["horizon"]):
+                obs, rewards, _, state = menv.step(
+                    state, actions[t], rng, sample=not case["deterministic"])
+                assert obs.dtype == rewards.dtype == np.float64
+                steps.append((obs, rewards))
+            rollouts.append(steps)
+            rng_states.append(rng.bit_generator.state)
+        assert rng_states[0] == rng_states[1]
+        for (obs64, rew64), (obs32, rew32) in zip(*rollouts):
+            np.testing.assert_allclose(obs32, obs64, rtol=F32_TOL,
+                                       atol=F32_TOL)
+            np.testing.assert_allclose(rew32, rew64, rtol=F32_TOL,
+                                       atol=4 * F32_TOL)
+
+    @pytest.mark.parametrize("propagation",
+                             TransitionRewardWrapper.PROPAGATION_METHODS)
+    def test_member_forwards_run_in_env_dtype(self, propagation,
+                                              monkeypatch):
+        seen = []
+        real_forward = DenseNet.forward
+
+        def spy(net, x, cache=False):
+            out = real_forward(net, x, cache)
+            seen.append((np.asarray(x).dtype, out.dtype))
+            return out
+
+        monkeypatch.setattr(DenseNet, "forward", spy)
+        case = {"ensemble_size": 3, "elites": [0, 2],
+                "propagation": propagation, "activation": "silu",
+                "deterministic": False, "particles": 7, "horizon": 1,
+                "seed": 0}
+        for dtype in (np.float32, np.float64):
+            seen.clear()
+            menv, obs0, actions = precision_env(case, dtype)
+            rng = np.random.default_rng(1)
+            menv.step(menv.reset(obs0, rng), actions[0], rng, sample=True)
+            assert seen and set(seen) == {(np.dtype(dtype), np.dtype(dtype))}
+
+    def test_ensemble_heads_are_float64(self):
+        model = GaussianMLPEnsemble(3, 2, ensemble_size=2, num_layers=2,
+                                    hid_size=4, rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((5, 3))
+        mean, logvar = model.forward(x.astype(np.float32))
+        assert mean.dtype == logvar.dtype == np.float64
+        groups = MemberGroups.from_assignment(np.array([1, 0, 1, 1, 0]), 2)
+        mean, logvar = model.grouped_forward(x.astype(np.float32), groups)
+        assert mean.dtype == logvar.dtype == np.float64
+
+    def test_other_dtypes_rejected(self):
+        model = GaussianMLPEnsemble(3, 2, ensemble_size=1, num_layers=2,
+                                    hid_size=4, rng=np.random.default_rng(0))
+        w = TransitionRewardWrapper(model, 2, 1)
+        with pytest.raises(ValidationError):
+            ModelEnv(w, no_termination, lambda a, o: o[:, 0],
+                     dtype=np.float16)
 
 
 class TestCheckpoint:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from mbrlkit.nets import (AdamState, DenseNet, load_arrays, save_arrays,
-                          sigmoid, silu, silu_grad)
+from mbrlkit.nets import (AdamState, DenseNet, load_arrays, relu,
+                          save_arrays, sigmoid, silu, silu_grad)
 
 
 def finite_diff(f, flat, h=1e-5):
@@ -165,6 +165,42 @@ class TestSiLUKernel:
         assert net._cache is None
         assert np.array_equal(lean, net.forward(x, cache=True))
         assert np.array_equal(x, x_before)
+
+
+class TestForwardPrecision:
+    """The inference forward runs in float32 for float32 input; float64
+    input, and any forward with cache, stay float64."""
+
+    @pytest.mark.parametrize("activation", ["relu", "silu"])
+    def test_float32_input_gives_float32_output(self, activation):
+        rng = np.random.default_rng(4)
+        net = DenseNet([5, 16, 16, 4], activation=activation, rng=rng)
+        x = rng.standard_normal((40, 5))
+        out32 = net.forward(x.astype(np.float32))
+        assert out32.dtype == np.float32
+        # 100 float32 ulps relative to 1 + |value|
+        tol = 100 * np.finfo(np.float32).eps
+        np.testing.assert_allclose(out32, net.forward(x), rtol=tol, atol=tol)
+        assert net.forward(x.astype(np.float32), cache=True).dtype == \
+            np.float64
+        assert all(p.dtype == np.float64 for p in net.parameters())
+
+    @pytest.mark.parametrize("activation", ["relu", "silu"])
+    def test_float64_output_unchanged(self, activation):
+        rng = np.random.default_rng(5)
+        net = DenseNet([5, 16, 16, 4], activation=activation, rng=rng)
+        x = rng.standard_normal((40, 5)) * 3.0
+        act = silu if activation == "silu" else relu
+        expected = x
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            expected = expected @ w.T + b
+            if i < len(net.weights) - 1:
+                expected = act(expected)
+        out = net.forward(x)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, expected)
+        assert np.array_equal(net.forward(x.astype(np.int64)),
+                              net.forward(x.astype(np.int64).astype(float)))
 
 
 class TestDeterminism:

@@ -372,6 +372,29 @@ class TestDistinctParticleRollouts:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert rows == [case["n"] * p] * case["horizon"]
 
+    def test_noise_free_rows_need_no_gather(self, monkeypatch):
+        # the distinct rows are member-major, so every step's rows are
+        # already grouped by member, also after finished rows are dropped
+        orders = []
+        real = GaussianMLPEnsemble.grouped_forward
+
+        def spy(model, x, groups):
+            orders.append(groups.order)
+            return real(model, x, groups)
+
+        monkeypatch.setattr(GaussianMLPEnsemble, "grouped_forward", spy)
+        case = {"ensemble_size": 5, "elites": [4, 0, 2, 3],
+                "deterministic": True, "sample": False,
+                "propagation": "fixed_model", "activation": "relu",
+                "reward": "cartpole", "particles": 5, "n": 9, "horizon": 6,
+                "seed": 11}
+        menv, obs0, seqs = cartpole_model_rollout(case)
+        rows = count_sample_rows(menv.wrapper)
+        evaluate_action_sequences(menv, obs0, seqs, 5,
+                                  np.random.default_rng(7), sample=False)
+        assert len(set(rows)) > 1  # some rows finished and were dropped
+        assert orders and all(order is None for order in orders)
+
     def test_pets_run_artifacts_match_full_rows(self, tmp_path, monkeypatch):
         def run(out):
             cfg = PETSConfig(
