@@ -297,6 +297,15 @@ class GaussianMLPEnsemble:
         return ((mean - target[None]) ** 2).mean(axis=1)
 
 
+def _forward_dtype(dtype) -> np.dtype:
+    """dtype as a model-forward precision: float32 or float64."""
+    dtype = np.dtype(dtype)
+    if dtype not in (np.float32, np.float64):
+        raise ValidationError(
+            f"model forward dtype must be float32 or float64, got {dtype}")
+    return dtype
+
+
 @dataclass(frozen=True)
 class MemberGroups:
     """Particles grouped by ensemble member.
@@ -406,7 +415,7 @@ class TransitionRewardWrapper:
         obs = np.asarray(obs, dtype=np.float64)
         action = np.asarray(action, dtype=np.float64)
         x = self.normalizer.normalize(np.concatenate([obs, action], axis=-1))
-        x = x.astype(dtype, copy=False)
+        x = x.astype(_forward_dtype(dtype), copy=False)
         p = x.shape[0]
         d = self.model.out_size
         if self.propagation == "fixed_model":
@@ -567,14 +576,10 @@ class ModelEnv:
         if reward_fn is None and not wrapper.learned_rewards:
             raise ValidationError(
                 "need a reward function when rewards are not learned")
-        dtype = np.dtype(dtype)
-        if dtype not in (np.float32, np.float64):
-            raise ValidationError(
-                f"model forward dtype must be float32 or float64, got {dtype}")
         self.wrapper = wrapper
         self.termination_fn = termination_fn
         self.reward_fn = reward_fn
-        self.dtype = dtype
+        self.dtype = _forward_dtype(dtype)
 
     def reset(self, initial_obs: np.ndarray,
               rng: np.random.Generator) -> ModelEnvState:
@@ -594,19 +599,12 @@ class ModelEnv:
 
     def select(self, state: ModelEnvState, rows) -> ModelEnvState:
         """The particles `rows` (indices or a boolean mask) of state, each
-        keeping its observation, member and done flag, regrouped by member.
-        A mask keeps particles in member order, so only the bounds move."""
+        keeping its observation, member and done flag, regrouped by member."""
         assignment = groups = None
         if state.member_assignment is not None:
             assignment = state.member_assignment[rows]
-            rows = np.asarray(rows)
-            if rows.dtype == bool and state.groups is not None \
-                    and state.groups.order is None:
-                kept_before = np.concatenate([[0], np.cumsum(rows)])
-                groups = MemberGroups(None, kept_before[state.groups.bounds])
-            else:
-                groups = MemberGroups.from_assignment(
-                    assignment, self.wrapper.model.ensemble_size)
+            groups = MemberGroups.from_assignment(
+                assignment, self.wrapper.model.ensemble_size)
         return ModelEnvState(state.obs[rows], assignment, state.done[rows],
                              groups)
 

@@ -760,6 +760,10 @@ class TestFloat32Forward:
         with pytest.raises(ValidationError):
             ModelEnv(w, no_termination, lambda a, o: o[:, 0],
                      dtype=np.float16)
+        with pytest.raises(ValidationError):
+            w.sample(np.zeros((2, 2)), np.zeros((2, 1)),
+                     np.random.default_rng(0), member_assignment=np.zeros(
+                         2, dtype=int), dtype=np.float16)
 
 
 class TestCheckpoint:
