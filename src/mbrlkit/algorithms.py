@@ -67,8 +67,12 @@ class PETSConfig:
         message starts with the name of the field it rejects."""
         if self.model_retrain_interval < 1:
             raise ValidationError("model_retrain_interval must be >= 1")
+        if self.elite_count < 1:
+            raise ValidationError("elite_count must be >= 1")
         if self.elite_count > self.ensemble_size:
             raise ValidationError("elite_count exceeds ensemble_size")
+        if self.particles < 1:
+            raise ValidationError("particles must be >= 1")
         if self.horizon > self.trial_length:
             raise ValidationError("horizon exceeds trial_length")
         self.cem.validate()

@@ -14,6 +14,7 @@ import numpy as np
 
 from .data import ReplayBuffer, TransitionBatch, ValidationError
 from .envs import make_env
+from .fileio import replace_on_success
 from .models import TransitionRewardWrapper
 from .planning import CEMConfig, TrajectoryOptimizerAgent
 
@@ -28,17 +29,21 @@ class EvaluationTable:
     r2: np.ndarray         # (D,)
 
     def save(self, out_dir) -> None:
+        """Writes dimension_{d}.csv and summary.csv; each file is replaced
+        whole, never torn."""
         import pathlib
 
         out_dir = pathlib.Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for d in range(self.predicted.shape[1]):
-            with open(out_dir / f"dimension_{d}.csv", "w", newline="") as f:
+            with replace_on_success(out_dir / f"dimension_{d}.csv") as tmp, \
+                    open(tmp, "w", newline="") as f:
                 writer = csv.writer(f)
                 writer.writerow(["predicted", "target"])
                 for p, t in zip(self.predicted[:, d], self.target[:, d]):
                     writer.writerow([repr(float(p)), repr(float(t))])
-        with open(out_dir / "summary.csv", "w", newline="") as f:
+        with replace_on_success(out_dir / "summary.csv") as tmp, \
+                open(tmp, "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["dimension", "mse", "r2"])
             for d in range(len(self.mse)):
@@ -111,14 +116,16 @@ def visualize_rollout(model_env, env, agent, horizon: int,
 
 
 def save_rollout_comparison(true_traj, model_trajs, out_dir) -> None:
-    """One CSV per observation dimension: time, true, sample_0..sample_M-1."""
+    """One CSV per observation dimension: time, true, sample_0..sample_M-1;
+    each file is replaced whole, never torn."""
     import pathlib
 
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     m, horizon, dims = model_trajs.shape
     for d in range(dims):
-        with open(out_dir / f"rollout_dim_{d}.csv", "w", newline="") as f:
+        with replace_on_success(out_dir / f"rollout_dim_{d}.csv") as tmp, \
+                open(tmp, "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["time", "true"] + [f"sample_{i}" for i in range(m)])
             for t in range(horizon):

@@ -21,8 +21,8 @@ import numpy as np
 from .data import (Normalizer, TransitionBatch, TransitionIterator,
                    ValidationError)
 from .fileio import replace_on_success
-from .nets import (AdamState, DenseNet, load_arrays, save_arrays, sigmoid,
-                   softplus)
+from .nets import (AdamState, DenseNet, load_arrays, param_count,
+                   save_arrays, sigmoid, softplus)
 
 LOGVAR_BOUND_REG = 0.01
 MIN_LOGVAR_INIT = -10.0
@@ -62,6 +62,12 @@ class GaussianMLPEnsemble:
     In deterministic mode the head emits only the mean and training uses MSE.
     Log-variances pass through learnable soft bounds (double softplus) to keep
     probabilistic training stable.
+
+    All parameters live in one zero-initialised float64 vector, `params`,
+    member-major: member 0's w0, b0, w1, b1, ..., then each later member's,
+    then min_logvar and max_logvar. Each member is a DenseNet built on its
+    block, and the bounds are views, so the optimizer, `get_flat`/`set_flat`
+    and checkpoints all read and write the one vector. `members` is a tuple.
     """
 
     def __init__(self, in_size: int, out_size: int, ensemble_size: int = 1,
@@ -80,10 +86,19 @@ class GaussianMLPEnsemble:
         head = out_size if deterministic else 2 * out_size
         self.layer_sizes = ([in_size] + [hid_size] * max(num_layers - 1, 0)
                             + [head])
-        self.members = [DenseNet(self.layer_sizes, activation, rng)
-                        for _ in range(ensemble_size)]
-        self.min_logvar = np.full(out_size, MIN_LOGVAR_INIT)
-        self.max_logvar = np.full(out_size, MAX_LOGVAR_INIT)
+        n = param_count(self.layer_sizes)
+        end = self.ensemble_size * n
+        self.params = np.zeros(end + 2 * self.out_size)
+        self.members = tuple(
+            DenseNet(self.layer_sizes, activation, rng,
+                     params=self.params[e * n:(e + 1) * n])
+            for e in range(self.ensemble_size))
+        self.min_logvar = self.params[end:end + self.out_size]
+        self.max_logvar = self.params[end + self.out_size:]
+        self.min_logvar[...] = MIN_LOGVAR_INIT
+        self.max_logvar[...] = MAX_LOGVAR_INIT
+        # what training updates: the bounds only shape a probabilistic head
+        self._trained = self.params[:end] if deterministic else self.params
         self.elite_indices = list(range(ensemble_size))
 
     def set_elite(self, indices) -> None:
@@ -94,37 +109,13 @@ class GaussianMLPEnsemble:
             raise ValidationError("elite index out of range")
         self.elite_indices = indices
 
-    # --- parameter plumbing -------------------------------------------------
-
-    def parameters(self):
-        out = []
-        for m in self.members:
-            out.extend(m.parameters())
-        if not self.deterministic:
-            out.append(self.min_logvar)
-            out.append(self.max_logvar)
-        return out
-
-    def snapshot(self):
-        return [p.copy() for p in self.parameters()]
-
-    def restore(self, snap) -> None:
-        params = self.parameters()
-        if len(snap) != len(params):
-            raise ValidationError("snapshot length mismatch")
-        for p, s in zip(params, snap):
-            p[...] = s
-
     def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.parameters()])
+        """A copy of the trained parameters: every member's, plus the
+        log-variance bounds when probabilistic."""
+        return self._trained.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
-        offset = 0
-        for p in self.parameters():
-            p[...] = flat[offset:offset + p.size].reshape(p.shape)
-            offset += p.size
-        if offset != flat.size:
-            raise ValidationError("flat parameter size mismatch")
+        self._trained[...] = np.reshape(flat, self._trained.shape)
 
     # --- forward ------------------------------------------------------------
 
@@ -263,7 +254,7 @@ class GaussianMLPEnsemble:
         """
         x, target = self._per_member_views(x, target)
         losses = np.empty(self.ensemble_size)
-        all_grads = []
+        all_grads = []  # in the order of `params`
         d_min_total = np.zeros_like(self.min_logvar)
         d_max_total = np.zeros_like(self.max_logvar)
         for e in range(self.ensemble_size):
@@ -282,7 +273,8 @@ class GaussianMLPEnsemble:
             d_max_total += LOGVAR_BOUND_REG
             all_grads.append(d_min_total)
             all_grads.append(d_max_total)
-        optimizer.step(self.parameters(), all_grads)
+        optimizer.step(self._trained,
+                       np.concatenate([g.ravel() for g in all_grads]))
         return losses
 
     def eval_score(self, x: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -479,7 +471,8 @@ class ModelTrainer:
     the training data when none is given, which is how PETS ranks elites by
     training MSE). Weights are snapshotted when the mean elite score improves
     by more than a relative threshold, and the best snapshot is restored at
-    the end.
+    the end. elite_count members (1 to the ensemble size; None: all of
+    them) with the lowest scores become the elites.
     """
 
     def __init__(self, wrapper: TransitionRewardWrapper, lr: float = 1e-3,
@@ -487,9 +480,10 @@ class ModelTrainer:
                  improvement_threshold: float = 0.01):
         self.wrapper = wrapper
         self.lr = lr
-        self.elite_count = elite_count or wrapper.model.ensemble_size
-        if self.elite_count > wrapper.model.ensemble_size:
-            raise ValidationError("elite_count exceeds ensemble size")
+        size = wrapper.model.ensemble_size
+        self.elite_count = size if elite_count is None else elite_count
+        if not 1 <= self.elite_count <= size:
+            raise ValidationError("need 1 <= elite_count <= ensemble size")
         self.improvement_threshold = improvement_threshold
 
     def _evaluate(self, eval_iter) -> np.ndarray:
@@ -532,7 +526,7 @@ class ModelTrainer:
                         report.best_score - mean_elite
                         > self.improvement_threshold * abs(report.best_score))
             if improved:
-                best_snapshot = model.snapshot()
+                best_snapshot = model.get_flat()
                 best_elites = elites
                 report.best_epoch = epoch
                 report.best_score = mean_elite
@@ -543,7 +537,7 @@ class ModelTrainer:
                     report.stopped_early = True
                     break
         if best_snapshot is not None:
-            model.restore(best_snapshot)
+            model.set_flat(best_snapshot)
         model.set_elite(best_elites)
         report.elite_indices = best_elites
         report.seconds = time.perf_counter() - start
@@ -634,16 +628,22 @@ class ModelEnv:
 
 # --- checkpointing ----------------------------------------------------------
 
+def _named_parameters(model: GaussianMLPEnsemble) -> dict:
+    """Checkpoint name -> view into model.params, in checkpoint order."""
+    out = {}
+    for e, member in enumerate(model.members):
+        for i, (w, b) in enumerate(zip(member.weights, member.biases)):
+            out[f"member{e}_w{i}"] = w
+            out[f"member{e}_b{i}"] = b
+    out["min_logvar"] = model.min_logvar
+    out["max_logvar"] = model.max_logvar
+    return out
+
+
 def save_model(wrapper: TransitionRewardWrapper, path) -> None:
     """One self-describing file: network parameters plus wrapper metadata."""
     model = wrapper.model
-    arrays = {}
-    for e, member in enumerate(model.members):
-        for i, (w, b) in enumerate(zip(member.weights, member.biases)):
-            arrays[f"member{e}_w{i}"] = w
-            arrays[f"member{e}_b{i}"] = b
-    arrays["min_logvar"] = model.min_logvar
-    arrays["max_logvar"] = model.max_logvar
+    arrays = _named_parameters(model)
     arrays["norm_mean"] = wrapper.normalizer.mean
     arrays["norm_std"] = wrapper.normalizer.std
     meta = {
@@ -675,12 +675,8 @@ def load_model(path) -> TransitionRewardWrapper:
         deterministic=meta["deterministic"],
         rng=np.random.default_rng(0),
     )
-    for e, member in enumerate(model.members):
-        for i in range(len(member.weights)):
-            member.weights[i] = arrays[f"member{e}_w{i}"].copy()
-            member.biases[i] = arrays[f"member{e}_b{i}"].copy()
-    model.min_logvar = arrays["min_logvar"].copy()
-    model.max_logvar = arrays["max_logvar"].copy()
+    for name, view in _named_parameters(model).items():
+        view[...] = np.reshape(arrays[name], view.shape)
     model.set_elite(meta["elite_indices"])
     normalizer = Normalizer(meta["obs_dim"] + meta["act_dim"])
     normalizer.mean = arrays["norm_mean"].copy()

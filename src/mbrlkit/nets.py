@@ -1,6 +1,7 @@
 """Minimal dense-network substrate with hand-derived gradients.
 
-Parameters, gradients, training and checkpoints are float64; the
+Parameters live in one float64 vector, with weights and biases as views
+into it. Parameters, gradients, training and checkpoints are float64; the
 inference forward (no cache) computes in float32 when its input is float32,
 which is how planning rollouts run. The backward pass is written for the
 fixed affine/activation architecture used by the Gaussian MLPs; correctness
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -75,15 +76,25 @@ def truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     return out * std
 
 
+def param_count(layer_sizes) -> int:
+    """Number of weights and biases of a DenseNet with these layer sizes."""
+    return sum((fan_in + 1) * fan_out
+               for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]))
+
+
 class DenseNet:
     """Fully connected network; activation on all layers except the last.
 
     layer_sizes is [in, h1, ..., out]. Weights use truncated-Gaussian fan-in
-    initialization (std = 1/sqrt(2 * fan_in), truncated at 2 sigma).
+    initialization (std = 1/sqrt(2 * fan_in), truncated at 2 sigma) and
+    zero biases. They live in `params`, a zeroed float64 vector of
+    `param_count(layer_sizes)` entries (allocated when None), as w0, b0, w1,
+    b1, ...; `weights` and `biases` are tuples of views into it.
     """
 
     def __init__(self, layer_sizes, activation: str = "silu",
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None,
+                 params: np.ndarray | None = None):
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
         if activation not in ACTIVATIONS:
@@ -93,12 +104,18 @@ class DenseNet:
             rng = np.random.default_rng()
         self.layer_sizes = list(int(s) for s in layer_sizes)
         self.activation = activation
-        self.weights = []
-        self.biases = []
+        n = param_count(self.layer_sizes)
+        self.params = np.zeros(n) if params is None else params
+        weights, biases, offset = [], [], 0
         for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            std = 1.0 / np.sqrt(2.0 * fan_in)
-            self.weights.append(truncated_normal(rng, (fan_out, fan_in), std))
-            self.biases.append(np.zeros(fan_out))
+            w = self.params[offset:offset + fan_out * fan_in]
+            w = w.reshape(fan_out, fan_in)
+            offset += w.size
+            w[...] = truncated_normal(rng, w.shape, 1.0 / np.sqrt(2.0 * fan_in))
+            weights.append(w)
+            biases.append(self.params[offset:offset + fan_out])
+            offset += fan_out
+        self.weights, self.biases = tuple(weights), tuple(biases)
         self._act = silu if activation == "silu" else relu
         self._act_inplace = (_silu_inplace if activation == "silu"
                              else _relu_inplace)
@@ -114,7 +131,7 @@ class DenseNet:
         return self.layer_sizes[-1]
 
     def num_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
     def forward(self, x: np.ndarray, cache: bool = False) -> np.ndarray:
         """Output for x (B, in). cache=True keeps the layer inputs and
@@ -171,71 +188,46 @@ class DenseNet:
             g = g @ self.weights[i]
         return w_grads, b_grads, g
 
-    # flat parameter access, used by the optimizer and checkpoints
-    def parameters(self):
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-    def set_parameters(self, params) -> None:
-        expected = 2 * len(self.weights)
-        if len(params) != expected:
-            raise ValueError(f"expected {expected} arrays, got {len(params)}")
-        for i in range(len(self.weights)):
-            w, b = params[2 * i], params[2 * i + 1]
-            if w.shape != self.weights[i].shape or b.shape != self.biases[i].shape:
-                raise ValueError("parameter shape mismatch")
-            self.weights[i] = w.copy()
-            self.biases[i] = b.copy()
-
     def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.parameters()])
+        return self.params.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
-        params = []
-        offset = 0
-        for p in self.parameters():
-            params.append(flat[offset:offset + p.size].reshape(p.shape))
-            offset += p.size
-        if offset != flat.size:
-            raise ValueError("flat vector size mismatch")
-        self.set_parameters(params)
+        self.params[...] = np.reshape(flat, self.params.shape)
 
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam over a list of parameter arrays."""
+    """Bias-corrected Adam over one parameter array, such as a network's or
+    an ensemble's flat parameter vector; m and v are created on the first
+    step with the shape of the parameters."""
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
-    def step(self, params, grads) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         """Updates params in place; raises on non-finite gradients."""
-        if len(params) != len(grads):
-            raise ValueError("params/grads length mismatch")
-        if not self.m:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
-        for g in grads:
-            if not np.all(np.isfinite(g)):
-                raise FloatingPointError("non-finite gradient in Adam step")
+        if params.shape != grads.shape:
+            raise ValueError(f"params shape {params.shape} != grads shape "
+                             f"{grads.shape}")
+        if self.m is None:
+            self.m = np.zeros_like(params)
+            self.v = np.zeros_like(params)
+        if not np.all(np.isfinite(grads)):
+            raise FloatingPointError("non-finite gradient in Adam step")
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - self.beta1 ** t
         c2 = 1.0 - self.beta2 ** t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grads
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grads * grads
+        params -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
 
 
 CHECKPOINT_VERSION = 1

@@ -65,6 +65,9 @@ class TestTrainCommand:
                          str(tmp_path / "nope.yaml")]) == 1
 
 
+SHORT_RUN = {"num_trials": 1, "trial_length": 20}
+
+
 class TestValueCombinationErrors:
     """Invalid value combinations exit 2 and name the config section."""
 
@@ -90,6 +93,13 @@ class TestValueCombinationErrors:
          "agent: horizon exceeds trial_length"),
         ({"overrides": {"model_retrain_interval": 0}},
          "overrides: model_retrain_interval must be >= 1"),
+        # one short trial, so that a run which accepted the value ends soon
+        ({"dynamics_model": {"elite_count": 0}, "overrides": SHORT_RUN},
+         "dynamics_model: elite_count must be >= 1"),
+        ({"dynamics_model": {"elite_count": -1}, "overrides": SHORT_RUN},
+         "dynamics_model: elite_count must be >= 1"),
+        ({"agent": {"particles": 0}, "overrides": SHORT_RUN},
+         "agent: particles must be >= 1"),
     ])
     def test_train_names_section(self, tmp_path, capsys, doc, message):
         path = self.write(tmp_path, doc)

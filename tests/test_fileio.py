@@ -195,3 +195,47 @@ class TestArtifactsAreNotTorn:
                       "--episodes", "2", "--out", str(out)])
         assert path.read_bytes() == before
         assert leftovers(out, "returns.csv") == []
+
+    def test_eval_dataset_csvs(self, tmp_path, monkeypatch):
+        def table(value):
+            pairs = np.full((3, 2), value)
+            return diagnostics.EvaluationTable(pairs, pairs, np.zeros(2),
+                                               np.ones(2))
+
+        table(1.0).save(tmp_path)
+        names = ["dimension_0.csv", "dimension_1.csv", "summary.csv"]
+        before = {n: (tmp_path / n).read_bytes() for n in names}
+        # dimension 0 is replaced; dimension 1's second row fails
+        monkeypatch.setattr(diagnostics, "repr", failing_after(9, repr),
+                            raising=False)
+        with pytest.raises(Interrupted):
+            table(2.0).save(tmp_path)
+        assert (tmp_path / "dimension_1.csv").read_bytes() == \
+            before["dimension_1.csv"]
+        assert (tmp_path / "summary.csv").read_bytes() == before["summary.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        # the summary's second row fails after both dimensions are replaced
+        monkeypatch.setattr(diagnostics, "repr", failing_after(14, repr),
+                            raising=False)
+        with pytest.raises(Interrupted):
+            table(3.0).save(tmp_path)
+        assert (tmp_path / "summary.csv").read_bytes() == before["summary.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+    def test_rollout_comparison_csvs(self, tmp_path, monkeypatch):
+        true_traj = np.zeros((3, 2))
+        diagnostics.save_rollout_comparison(true_traj, np.zeros((2, 3, 2)),
+                                            tmp_path)
+        names = ["rollout_dim_0.csv", "rollout_dim_1.csv"]
+        before = {n: (tmp_path / n).read_bytes() for n in names}
+        # dimension 0 is replaced; dimension 1's second row fails
+        monkeypatch.setattr(diagnostics, "repr", failing_after(10, repr),
+                            raising=False)
+        with pytest.raises(Interrupted):
+            diagnostics.save_rollout_comparison(
+                true_traj, np.ones((2, 3, 2)), tmp_path)
+        assert (tmp_path / "rollout_dim_0.csv").read_bytes() != \
+            before["rollout_dim_0.csv"]
+        assert (tmp_path / "rollout_dim_1.csv").read_bytes() == \
+            before["rollout_dim_1.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names

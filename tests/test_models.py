@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +8,11 @@ from hypothesis import strategies as st
 
 from mbrlkit.data import (BootstrapIterator, ReplayBuffer, Transition,
                           TransitionBatch, TransitionIterator, ValidationError)
-from mbrlkit.models import (GaussianMLPEnsemble, MemberGroups, ModelEnv,
-                            ModelTrainer, TransitionRewardWrapper,
-                            gaussian_nll_loss, load_model, mse_loss,
-                            save_model)
-from mbrlkit.nets import AdamState, DenseNet
+from mbrlkit.models import (LOGVAR_BOUND_REG, GaussianMLPEnsemble,
+                            MemberGroups, ModelEnv, ModelTrainer,
+                            TransitionRewardWrapper, gaussian_nll_loss,
+                            load_model, mse_loss, save_model)
+from mbrlkit.nets import AdamState, DenseNet, load_arrays, save_arrays
 from mbrlkit.envs import no_termination
 
 
@@ -155,7 +158,8 @@ class TestEnsembleMean:
         x = rng.standard_normal((6, 2))
         before = m.ensemble_mean_predict(x)
         mean_before, _ = m.forward(x)
-        m.members = [m.members[2], m.members[0], m.members[1]]
+        blocks = m.params[:-2].reshape(3, -1)  # member-major; out_size 1
+        blocks[...] = blocks[[2, 0, 1]]
         mean_after, _ = m.forward(x)
         assert np.array_equal(mean_after[0], mean_before[2])
         assert np.array_equal(mean_after[1], mean_before[0])
@@ -253,7 +257,7 @@ class TestUpdateAndScore:
         m = GaussianMLPEnsemble(3, 2, ensemble_size=2, num_layers=2,
                                 hid_size=8, rng=rng)
         # force identical initial weights
-        m.members[1].set_parameters(m.members[0].parameters())
+        m.members[1].params[...] = m.members[0].params
         x = rng.standard_normal((10, 3))
         t = rng.standard_normal((10, 2))
         opt = AdamState(lr=1e-3)
@@ -293,8 +297,8 @@ class TestUpdateAndScore:
         m = GaussianMLPEnsemble(2, 1, ensemble_size=1, num_layers=1,
                                 deterministic=True,
                                 rng=np.random.default_rng(0))
-        m.members[0].weights[0] = np.array([[1.0, 0.0]])
-        m.members[0].biases[0] = np.zeros(1)
+        m.members[0].weights[0][...] = np.array([[1.0, 0.0]])
+        m.members[0].biases[0][...] = np.zeros(1)
         x = np.random.default_rng(0).standard_normal((20, 2))
         t = x[:, :1]
         assert np.all(m.eval_score(x, t) == 0.0)
@@ -371,6 +375,16 @@ class TestTrainer:
         report = trainer.train(train_iter, num_epochs=3, patience=3)
         assert len(report.elite_indices) == 5
         assert model.elite_indices == report.elite_indices
+
+    @pytest.mark.parametrize("elite_count", [0, -1, 8])
+    def test_elite_count_outside_members_rejected(self, elite_count):
+        model = GaussianMLPEnsemble(3, 2, ensemble_size=7, num_layers=2,
+                                    hid_size=8, rng=np.random.default_rng(0))
+        w = TransitionRewardWrapper(model, 2, 1)
+        with pytest.raises(ValidationError):
+            ModelTrainer(w, elite_count=elite_count)
+        assert ModelTrainer(w).elite_count == 7
+        assert ModelTrainer(w, elite_count=7).elite_count == 7
 
     def test_best_score_monotone_at_snapshots(self):
         rng = np.random.default_rng(3)
@@ -785,3 +799,153 @@ class TestCheckpoint:
         assert np.array_equal(a_mean, b_mean)
         assert np.array_equal(a_lv, b_lv)
         assert np.array_equal(w.normalizer.mean, loaded.normalizer.mean)
+
+    def test_wrong_shape_rejected(self, tmp_path):
+        model = GaussianMLPEnsemble(3, 2, ensemble_size=2, num_layers=2,
+                                    hid_size=4, rng=np.random.default_rng(0))
+        path = tmp_path / "model.ckpt.npz"
+        save_model(TransitionRewardWrapper(model, 2, 1), path)
+        arrays, meta = load_arrays(path)
+        arrays["member1_b0"] = arrays["member1_b0"][:1]  # would broadcast
+        save_arrays(path, arrays, meta)
+        with pytest.raises(ValueError):
+            load_model(path)
+
+
+@st.composite
+def arena_cases(draw):
+    return {
+        "ensemble_size": draw(st.integers(min_value=1, max_value=5)),
+        # 1-3 hidden layers
+        "num_layers": draw(st.integers(min_value=2, max_value=4)),
+        "hid_size": draw(st.integers(min_value=1, max_value=6)),
+        "activation": draw(st.sampled_from(["relu", "silu"])),
+        "deterministic": draw(st.booleans()),
+        "seed": draw(st.integers(min_value=0, max_value=2 ** 16)),
+    }
+
+
+def arena_model(case):
+    return GaussianMLPEnsemble(
+        3, 2, ensemble_size=case["ensemble_size"],
+        num_layers=case["num_layers"], hid_size=case["hid_size"],
+        activation=case["activation"], deterministic=case["deterministic"],
+        rng=np.random.default_rng(case["seed"]))
+
+
+def arena_views(model):
+    """Every parameter view, in the member-major order of model.params."""
+    views = [p for m in model.members
+             for pair in zip(m.weights, m.biases) for p in pair]
+    return views + [model.min_logvar, model.max_logvar]
+
+
+def assert_on_arena(model):
+    """Each view lies at its own offset in model.params, and together they
+    cover it."""
+    offset = 0
+    for view in arena_views(model):
+        assert np.shares_memory(view, model.params)
+        assert view.ctypes.data - model.params.ctypes.data == 8 * offset
+        offset += view.size
+    assert offset == model.params.size
+
+
+def reference_update(model, x, target, state, lr):
+    """The per-array Adam step over a list of parameter arrays, one moment
+    array per parameter array, as the optimizer was before the arena."""
+    params, grads = [], []
+    d_min = np.zeros(model.out_size)
+    d_max = np.zeros(model.out_size)
+    for e, member in enumerate(model.members):
+        _, g, dm, dx = model.member_loss_and_grads(e, x[e], target[e])
+        params += [p for pair in zip(member.weights, member.biases)
+                   for p in pair]
+        grads += g
+        if dm is not None:
+            d_min += dm
+            d_max += dx
+    if not model.deterministic:
+        d_min -= LOGVAR_BOUND_REG
+        d_max += LOGVAR_BOUND_REG
+        params += [model.min_logvar, model.max_logvar]
+        grads += [d_min, d_max]
+    if not state["m"]:
+        state["m"] = [np.zeros_like(p) for p in params]
+        state["v"] = [np.zeros_like(p) for p in params]
+    state["t"] += 1
+    c1 = 1.0 - 0.9 ** state["t"]
+    c2 = 1.0 - 0.999 ** state["t"]
+    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+
+
+class TestParameterArena:
+    """Members, bounds, optimizer, snapshots and checkpoints share one
+    float64 vector per ensemble."""
+
+    @given(arena_cases())
+    @settings(max_examples=40)
+    def test_views_stay_on_the_arena(self, case):
+        model = arena_model(case)
+        assert model.params.dtype == np.float64
+        assert_on_arena(model)
+        assert not any(b.any() for m in model.members for b in m.biases)
+        trained = arena_views(model)
+        if model.deterministic:
+            trained = trained[:-2]
+        assert np.array_equal(model.get_flat(),
+                              np.concatenate([v.ravel() for v in trained]))
+        rng = np.random.default_rng(case["seed"])
+        batch = linear_system_batch(rng, 40, noise=0.1)
+        wrapper = TransitionRewardWrapper(model, 2, 1)
+        wrapper.update_normalizer(batch)
+        # a large step size, so that the best epoch is often not the last
+        report = ModelTrainer(wrapper, lr=0.2).train(
+            BootstrapIterator(batch, 16, model.ensemble_size, rng),
+            num_epochs=4, patience=4)
+        assert_on_arena(model)
+        # the restored parameters score as they did at the best epoch
+        np.testing.assert_allclose(wrapper.eval_score(batch).mean(axis=1),
+                                   report.val_scores[report.best_epoch - 1],
+                                   rtol=1e-9)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.ckpt.npz"
+            save_model(wrapper, path)
+            loaded = load_model(path).model
+        assert_on_arena(loaded)
+        assert np.array_equal(loaded.params, model.params)
+
+    @given(arena_cases())
+    @settings(max_examples=20)
+    def test_rebinding_raises(self, case):
+        model = arena_model(case)
+        member = model.members[-1]
+        with pytest.raises(TypeError):
+            member.weights[0] = np.zeros_like(member.weights[0])
+        with pytest.raises(TypeError):
+            member.biases[-1] = np.zeros_like(member.biases[-1])
+        with pytest.raises(TypeError):
+            model.members[0] = member
+        assert_on_arena(model)
+
+    @given(arena_cases(), st.integers(min_value=1, max_value=8))
+    @settings(max_examples=40)
+    def test_adam_matches_per_array_reference(self, case, steps):
+        model = arena_model(case)
+        reference = arena_model(case)
+        rng = np.random.default_rng(case["seed"] + 1)
+        e = case["ensemble_size"]
+        optimizer = AdamState(lr=1e-2)
+        state = {"m": [], "v": [], "t": 0}
+        for _ in range(steps):
+            x = rng.standard_normal((e, 8, 3))
+            target = rng.standard_normal((e, 8, 2))
+            model.update(x, target, optimizer)
+            reference_update(reference, x, target, state, lr=1e-2)
+            assert np.array_equal(model.params, reference.params)
+        assert optimizer.step_count == state["t"] == steps

@@ -22,15 +22,15 @@ def finite_diff(f, flat, h=1e-5):
 class TestForward:
     def test_identity_layer(self):
         net = DenseNet([2, 2], rng=np.random.default_rng(0))
-        net.weights[0] = np.eye(2)
-        net.biases[0] = np.zeros(2)
+        net.weights[0][...] = np.eye(2)
+        net.biases[0][...] = np.zeros(2)
         out = net.forward(np.array([[1.0, 2.0]]))
         assert np.array_equal(out, [[1.0, 2.0]])  # no activation on last layer
 
     def test_zero_weights_gives_bias(self):
         net = DenseNet([3, 2], rng=np.random.default_rng(0))
         net.weights[0][:] = 0.0
-        net.biases[0] = np.array([0.5, -1.5])
+        net.biases[0][...] = np.array([0.5, -1.5])
         out = net.forward(np.zeros((4, 3)) + 7.0)
         assert np.allclose(out, [[0.5, -1.5]] * 4)
 
@@ -183,7 +183,7 @@ class TestForwardPrecision:
         np.testing.assert_allclose(out32, net.forward(x), rtol=tol, atol=tol)
         assert net.forward(x.astype(np.float32), cache=True).dtype == \
             np.float64
-        assert all(p.dtype == np.float64 for p in net.parameters())
+        assert net.params.dtype == np.float64
 
     @pytest.mark.parametrize("activation", ["relu", "silu"])
     def test_float64_output_unchanged(self, activation):
@@ -219,8 +219,8 @@ class TestDeterminism:
             for _ in range(10):
                 out = net.forward(x, cache=True)
                 w_g, b_g, _ = net.backward(2 * (out - t) / 16)
-                grads = [g for pair in zip(w_g, b_g) for g in pair]
-                opt.step(net.parameters(), grads)
+                grads = [g.ravel() for pair in zip(w_g, b_g) for g in pair]
+                opt.step(net.params, np.concatenate(grads))
             return net.get_flat()
 
         assert np.array_equal(run(), run())
@@ -230,7 +230,7 @@ class TestAdam:
     def test_zero_gradient_fixed_point(self):
         opt = AdamState(lr=1e-3)
         p = np.array([1.0, -2.0])
-        opt.step([p], [np.zeros(2)])
+        opt.step(p, np.zeros(2))
         assert np.array_equal(p, [1.0, -2.0])
         assert opt.step_count == 1
 
@@ -238,20 +238,20 @@ class TestAdam:
         # bias correction makes the first step ~ lr * sign(g)
         opt = AdamState(lr=1e-3)
         p = np.array([0.0])
-        opt.step([p], [np.array([5.0])])
+        opt.step(p, np.array([5.0]))
         assert p[0] == pytest.approx(-1e-3, rel=1e-6)
 
     def test_quadratic_descent(self):
         opt = AdamState(lr=0.1)
         p = np.array([1.0])
         for _ in range(200):
-            opt.step([p], [2.0 * p.copy()])
+            opt.step(p, 2.0 * p.copy())
         assert abs(p[0]) < 1e-2
 
     def test_nonfinite_gradient_rejected(self):
         opt = AdamState()
         with pytest.raises(FloatingPointError):
-            opt.step([np.zeros(1)], [np.array([np.nan])])
+            opt.step(np.zeros(1), np.array([np.nan]))
 
 
 class TestCheckpoint:

@@ -297,7 +297,8 @@ def cartpole_model_rollout(case):
                                 deterministic=case["deterministic"], rng=rng)
     model.set_elite(case["elites"])
     for member in model.members:
-        member.weights[-1] *= 3.0  # steps large enough to end some particles
+        # steps large enough to end some particles
+        member.weights[-1][...] *= 3.0
     wrapper = TransitionRewardWrapper(model, 4, 1,
                                       propagation=case["propagation"])
     wrapper.normalizer.fit(rng.standard_normal((30, 5)))
