@@ -99,6 +99,10 @@ class GaussianMLPEnsemble:
         self.max_logvar[...] = MAX_LOGVAR_INIT
         # what training updates: the bounds only shape a probabilistic head
         self._trained = self.params[:end] if deterministic else self.params
+        # gradients, laid out like params and written in place every step
+        self._grads = np.zeros_like(self.params)
+        self._member_grads = tuple(self._grads[e * n:(e + 1) * n]
+                                   for e in range(self.ensemble_size))
         self.elite_indices = list(range(ensemble_size))
 
     def set_elite(self, indices) -> None:
@@ -194,8 +198,10 @@ class GaussianMLPEnsemble:
         """Mean-per-batch loss of member e plus gradients for its parameters.
 
         Returns (loss, member_param_grads, d_min_logvar, d_max_logvar); the
-        bound gradients exclude the bound regularizer, which `update` adds
-        once per call.
+        member's gradients (w0, b0, w1, b1, ...) are views into its block of
+        the ensemble's gradient vector, overwritten by the next call for
+        member e. The bound gradients exclude the bound regularizer, which
+        `update` adds once per call.
         """
         member = self.members[e]
         b = x.shape[0]
@@ -219,11 +225,9 @@ class GaussianMLPEnsemble:
             d_max = (d_lv * sig_min * (1.0 - sig_max)).sum(axis=0)
             d_min = (d_lv * (1.0 - sig_min)).sum(axis=0)
             upstream = np.concatenate([d_mu, d_raw], axis=1)
-        w_grads, b_grads, _ = member.backward(upstream)
-        grads = []
-        for wg, bg in zip(w_grads, b_grads):
-            grads.append(wg)
-            grads.append(bg)
+        w_grads, b_grads, _ = member.backward(
+            upstream, out=self._member_grads[e])
+        grads = [g for pair in zip(w_grads, b_grads) for g in pair]
         return loss, grads, d_min, d_max
 
     def loss(self, x: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -254,27 +258,23 @@ class GaussianMLPEnsemble:
         """
         x, target = self._per_member_views(x, target)
         losses = np.empty(self.ensemble_size)
-        all_grads = []  # in the order of `params`
-        d_min_total = np.zeros_like(self.min_logvar)
-        d_max_total = np.zeros_like(self.max_logvar)
+        bounds = self._grads[-2 * self.out_size:]
+        bounds[...] = 0.0
+        d_min_total, d_max_total = np.split(bounds, 2)
         for e in range(self.ensemble_size):
-            loss, grads, d_min, d_max = self.member_loss_and_grads(
+            loss, _, d_min, d_max = self.member_loss_and_grads(
                 e, x[e], target[e])
             if not np.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite training loss for member {e}")
             losses[e] = loss
-            all_grads.extend(grads)
             if d_min is not None:
                 d_min_total += d_min
                 d_max_total += d_max
         if not self.deterministic:
             d_min_total -= LOGVAR_BOUND_REG
             d_max_total += LOGVAR_BOUND_REG
-            all_grads.append(d_min_total)
-            all_grads.append(d_max_total)
-        optimizer.step(self._trained,
-                       np.concatenate([g.ravel() for g in all_grads]))
+        optimizer.step(self._trained, self._grads[:self._trained.size])
         return losses
 
     def eval_score(self, x: np.ndarray, target: np.ndarray) -> np.ndarray:

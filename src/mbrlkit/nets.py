@@ -106,21 +106,28 @@ class DenseNet:
         self.activation = activation
         n = param_count(self.layer_sizes)
         self.params = np.zeros(n) if params is None else params
-        weights, biases, offset = [], [], 0
-        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            w = self.params[offset:offset + fan_out * fan_in]
-            w = w.reshape(fan_out, fan_in)
-            offset += w.size
+        weights, biases = self._views(self.params)
+        for w in weights:
+            fan_in = w.shape[1]
             w[...] = truncated_normal(rng, w.shape, 1.0 / np.sqrt(2.0 * fan_in))
-            weights.append(w)
-            biases.append(self.params[offset:offset + fan_out])
-            offset += fan_out
         self.weights, self.biases = tuple(weights), tuple(biases)
         self._act = silu if activation == "silu" else relu
         self._act_inplace = (_silu_inplace if activation == "silu"
                              else _relu_inplace)
         self._act_grad = silu_grad if activation == "silu" else relu_grad
         self._cache = None
+
+    def _views(self, vector: np.ndarray):
+        """Lists of weight and bias views into a vector laid out like
+        `params`."""
+        weights, biases, offset = [], [], 0
+        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            weights.append(vector[offset:offset + fan_out * fan_in]
+                           .reshape(fan_out, fan_in))
+            offset += fan_out * fan_in
+            biases.append(vector[offset:offset + fan_out])
+            offset += fan_out
+        return weights, biases
 
     @property
     def in_size(self) -> int:
@@ -164,11 +171,14 @@ class DenseNet:
         self._cache = (inputs, pre)
         return h
 
-    def backward(self, upstream_grad: np.ndarray):
+    def backward(self, upstream_grad: np.ndarray,
+                 out: np.ndarray | None = None):
         """Gradients of a scalar loss wrt parameters, given d(loss)/d(output).
 
-        Requires a preceding forward(..., cache=True). Returns
-        (weight_grads, bias_grads, input_grad).
+        Requires a preceding forward(..., cache=True). The parameter
+        gradients are written into `out`, a vector laid out like `params`
+        (allocated when None). Returns (weight_grads, bias_grads,
+        input_grad), the first two as lists of views into that vector.
         """
         if self._cache is None:
             raise RuntimeError("backward called without a cached forward pass")
@@ -177,14 +187,14 @@ class DenseNet:
         if g.shape != pre[-1].shape:
             raise ValueError(f"upstream grad shape {g.shape} != output "
                              f"shape {pre[-1].shape}")
-        n_layers = len(self.weights)
-        w_grads = [None] * n_layers
-        b_grads = [None] * n_layers
-        for i in range(n_layers - 1, -1, -1):
-            if i < n_layers - 1:
+        w_grads, b_grads = self._views(
+            np.empty_like(self.params) if out is None else out)
+        last = len(self.weights) - 1
+        for i in range(last, -1, -1):
+            if i < last:
                 g = g * self._act_grad(pre[i])
-            w_grads[i] = g.T @ inputs[i]
-            b_grads[i] = g.sum(axis=0)
+            np.matmul(g.T, inputs[i], out=w_grads[i])
+            np.sum(g, axis=0, out=b_grads[i])
             g = g @ self.weights[i]
         return w_grads, b_grads, g
 

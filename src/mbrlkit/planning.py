@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ValidationError
+from .fileio import replace_on_success
 
 
 @dataclass
@@ -123,8 +124,9 @@ def cem_optimize(objective, cfg: CEMConfig, init_mean: np.ndarray,
 
 
 def write_cem_trace(trace, path) -> None:
-    """Per-iteration diagnostics CSV."""
-    with open(path, "w", newline="") as f:
+    """Per-iteration diagnostics CSV; the file is replaced whole, never
+    torn."""
+    with replace_on_success(path) as tmp, open(tmp, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["iteration", "best_value", "mean_elite_value",
                          "mean_norm", "var_norm"])

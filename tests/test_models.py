@@ -949,3 +949,28 @@ class TestParameterArena:
             reference_update(reference, x, target, state, lr=1e-2)
             assert np.array_equal(model.params, reference.params)
         assert optimizer.step_count == state["t"] == steps
+
+    @given(arena_cases())
+    @settings(max_examples=20)
+    def test_update_reuses_one_gradient_vector(self, case):
+        """Every step hands Adam the same gradient vector, laid out like the
+        trained parameters, instead of a new concatenation."""
+        model = arena_model(case)
+        seen = []  # keeps every step's arrays alive
+
+        class Recording(AdamState):
+            def step(self, params, grads):
+                seen.append((params, grads))
+                super().step(params, grads)
+
+        rng = np.random.default_rng(case["seed"])
+        e = case["ensemble_size"]
+        optimizer = Recording(lr=1e-2)
+        for _ in range(3):
+            model.update(rng.standard_normal((e, 8, 3)),
+                         rng.standard_normal((e, 8, 2)), optimizer)
+        first = seen[0][1]
+        for params, grads in seen:
+            assert grads.shape == params.shape
+            assert grads.ctypes.data == first.ctypes.data
+            assert not np.shares_memory(grads, model.params)
