@@ -67,12 +67,38 @@ class PETSConfig:
         message starts with the name of the field it rejects."""
         if self.model_retrain_interval < 1:
             raise ValidationError("model_retrain_interval must be >= 1")
+        if self.initial_exploration_steps < 0:
+            raise ValidationError("initial_exploration_steps must be >= 0")
+        if self.initial_exploration_steps == 0 and self.retrain_at_trial_start:
+            raise ValidationError(
+                "initial_exploration_steps must be >= 1 when "
+                "retrain_at_trial_start is on: the first retrain needs data")
         if self.elite_count < 1:
             raise ValidationError("elite_count must be >= 1")
         if self.elite_count > self.ensemble_size:
             raise ValidationError("elite_count exceeds ensemble_size")
+        if self.propagation_method not in \
+                TransitionRewardWrapper.PROPAGATION_METHODS:
+            raise ValidationError(
+                f"propagation_method must be one of "
+                f"{TransitionRewardWrapper.PROPAGATION_METHODS}, got "
+                f"{self.propagation_method!r}")
+        if self.num_layers < 1:
+            raise ValidationError("num_layers must be >= 1")
+        if self.hid_size < 1:
+            raise ValidationError("hid_size must be >= 1")
+        if not self.lr > 0.0:
+            raise ValidationError("lr must be > 0")
+        if self.model_batch_size < 1:
+            raise ValidationError("model_batch_size must be >= 1")
+        if not 0.0 <= self.validation_ratio < 1.0:
+            raise ValidationError("validation_ratio must be in [0, 1)")
+        if self.patience < 1:
+            raise ValidationError("patience must be >= 1")
         if self.particles < 1:
             raise ValidationError("particles must be >= 1")
+        if self.horizon < 1:
+            raise ValidationError("horizon must be >= 1")
         if self.horizon > self.trial_length:
             raise ValidationError("horizon exceeds trial_length")
         self.cem.validate()

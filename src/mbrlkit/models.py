@@ -13,16 +13,18 @@ for optimizer stability; the two differ only by a constant factor.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .data import (Normalizer, TransitionBatch, TransitionIterator,
                    ValidationError)
 from .fileio import replace_on_success
-from .nets import (AdamState, DenseNet, load_arrays, param_count,
-                   save_arrays, sigmoid, softplus)
+from .nets import (BUFFERED_ACTIVATIONS, AdamState, DenseNet, layer_views,
+                   load_arrays, param_count, save_arrays, sigmoid, softplus)
 
 LOGVAR_BOUND_REG = 0.01
 MIN_LOGVAR_INIT = -10.0
@@ -68,6 +70,12 @@ class GaussianMLPEnsemble:
     then min_logvar and max_logvar. Each member is a DenseNet built on its
     block, and the bounds are views, so the optimizer, `get_flat`/`set_flat`
     and checkpoints all read and write the one vector. `members` is a tuple.
+    `layer_weights[i]` (E, out, in) and `layer_biases[i]` (E, out) view
+    layer i of every member at once, strided by the member block size.
+
+    Training, scoring and every float64 forward run one member at a time.
+    Float32 planning runs `stacked_forward`: each layer is one matmul over
+    a `MemberStack`, a float32 copy of some members' parameters.
     """
 
     def __init__(self, in_size: int, out_size: int, ensemble_size: int = 1,
@@ -93,6 +101,10 @@ class GaussianMLPEnsemble:
             DenseNet(self.layer_sizes, activation, rng,
                      params=self.params[e * n:(e + 1) * n])
             for e in range(self.ensemble_size))
+        blocks = self.params[:end].reshape(self.ensemble_size, n)
+        weights, biases = layer_views(self.layer_sizes, blocks)
+        self.layer_weights, self.layer_biases = tuple(weights), tuple(biases)
+        self._act_buffered = BUFFERED_ACTIVATIONS[activation]
         self.min_logvar = self.params[end:end + self.out_size]
         self.max_logvar = self.params[end + self.out_size:]
         self.min_logvar[...] = MIN_LOGVAR_INIT
@@ -135,12 +147,12 @@ class GaussianMLPEnsemble:
         return logvar, (sig_max, sig_min)
 
     def _heads(self, out: np.ndarray):
-        """Splits raw outputs (B, head) into (mean, logvar), each (B, out);
-        logvar is None when deterministic."""
+        """Splits raw outputs (..., head) into (mean, logvar), each
+        (..., out); logvar is None when deterministic."""
         if self.deterministic:
             return out, None
-        logvar, _ = self._bound_logvar(out[:, self.out_size:])
-        return out[:, :self.out_size], logvar
+        logvar, _ = self._bound_logvar(out[..., self.out_size:])
+        return out[..., :self.out_size], logvar
 
     def member_forward(self, e: int, x: np.ndarray, cache: bool = False):
         """Member e's heads for x (B, in): (mean, logvar), each (B, out) and
@@ -149,12 +161,71 @@ class GaussianMLPEnsemble:
         out = self.members[e].forward(x, cache=cache)
         return self._heads(out.astype(np.float64, copy=False))
 
-    def grouped_forward(self, x: np.ndarray, groups: MemberGroups):
+    def stack_members(self, members, dtype=np.float32) -> MemberStack:
+        """A dtype copy of the parameters of `members` (distinct indices,
+        in stack order), made now: later writes to `params` do not reach
+        it."""
+        members = tuple(int(e) for e in members)
+        if len(set(members)) != len(members) or any(
+                e < 0 or e >= self.ensemble_size for e in members):
+            raise ValidationError(f"bad members to stack: {members}")
+        dtype = _forward_dtype(dtype)
+        # a run of members is a slice, which numpy copies faster
+        run = members and members == tuple(range(members[0],
+                                                 members[-1] + 1))
+        pick = slice(members[0], members[-1] + 1) if run else list(members)
+        return MemberStack(
+            members,
+            tuple(np.ascontiguousarray(w[pick].transpose(0, 2, 1), dtype)
+                  for w in self.layer_weights),
+            tuple(b[pick, None].astype(dtype) for b in self.layer_biases))
+
+    def stacked_forward(self, x: np.ndarray, stack: MemberStack):
+        """Raw outputs of the stacked members, in the stack's dtype: x is
+        (S, m, in), one block of rows per stacked member, or (B, in), the
+        same rows for every member; the output is (S, m, head) or (S, B,
+        head). Each layer is one matmul over the whole stack, one bias add
+        and one in-place activation."""
+        h = np.asarray(x, dtype=stack.dtype)
+        if h.ndim not in (2, 3) or h.shape[-1] != self.in_size:
+            raise ValidationError(f"bad input shape {h.shape}")
+        *hidden, (w_out, b_out) = zip(stack.weights, stack.biases)
+        if hidden:
+            # the hidden layers write into the stack's work arrays, two
+            # alternating and one for the activation, so that a step
+            # allocates (and faults in) no large temporaries
+            work = stack.work((len(stack.members), h.shape[-2],
+                               hidden[0][0].shape[-1]))
+            for i, (w, b) in enumerate(hidden):
+                h = np.matmul(h, w, out=work[i % 2])
+                h += b
+                self._act_buffered(h, work[2])
+        h = np.matmul(h, w_out)
+        h += b_out
+        return h
+
+    def grouped_forward(self, x: np.ndarray, groups: MemberGroups,
+                        stack: MemberStack | None = None):
         """Heads for x (P, in) where row p goes through the member that
-        `groups` assigns to it: one forward per non-empty member on a
-        contiguous block, with a gather before and a scatter after unless
-        the rows are already in member order. The forward runs in x's
-        precision (see `DenseNet.forward`); the heads are float64."""
+        `groups` assigns to it; the heads are float64.
+
+        Without a stack: one forward per non-empty member on a contiguous
+        block, in x's precision (see `DenseNet.forward`), with a gather
+        before and a scatter after unless the rows are already in member
+        order. With one: a single `stacked_forward` on the groups' padded
+        layout, which must be for the stack's members: one gather fills
+        each member's block, one gather reads every row back."""
+        if stack is not None:
+            if groups.stacked != stack.members:
+                raise ValidationError(
+                    f"groups padded for members {groups.stacked}, weights "
+                    f"stacked for {stack.members}")
+            # np.take, not fancy indexing: the same rows, fewer microseconds
+            blocks = self.stacked_forward(np.take(x, groups.gather, axis=0),
+                                          stack)
+            out = np.take(blocks.reshape(-1, blocks.shape[-1]), groups.unpad,
+                          axis=0)
+            return self._heads(out.astype(np.float64))
         x_sorted = x if groups.order is None else x[groups.order]
         out_sorted = np.empty((x.shape[0], self.layer_sizes[-1]))
         bounds = groups.bounds.tolist()
@@ -298,6 +369,36 @@ def _forward_dtype(dtype) -> np.dtype:
     return dtype
 
 
+class MemberStack:
+    """A copy of some ensemble members' parameters for one batched forward
+    (`GaussianMLPEnsemble.stack_members`).
+
+    Per layer, weights[i] is (S, in, out), each stacked member's matrix
+    transposed, and biases[i] is (S, 1, out); members are the S ensemble
+    indices, in stack order. The stack also keeps the work buffers of the
+    forwards through it: a rollout makes one stack and steps through it
+    many times, so its hidden layers reuse the same memory.
+    """
+
+    def __init__(self, members: tuple, weights: tuple, biases: tuple):
+        self.members = members
+        self.weights = weights
+        self.biases = biases
+        self._work = np.empty(0, self.dtype)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.weights[0].dtype
+
+    def work(self, shape) -> np.ndarray:
+        """Three uninitialised contiguous arrays of `shape`, (3,) + shape,
+        on memory that the next call reuses."""
+        size = 3 * math.prod(shape)
+        if self._work.size < size:
+            self._work = np.empty(size, self.dtype)
+        return self._work[:size].reshape((3,) + tuple(shape))
+
+
 @dataclass(frozen=True)
 class MemberGroups:
     """Particles grouped by ensemble member.
@@ -306,25 +407,86 @@ class MemberGroups:
     ascending particle index; bounds has ensemble_size + 1 entries. order is
     None when the particles are already in member order, so that member e's
     are the rows bounds[e]:bounds[e + 1] themselves.
+
+    Groups with `stacked` members (ascending ensemble indices that hold
+    every particle) also have a padded layout for a `MemberStack` of those
+    members, built on first use: each stacked member gets a block of m
+    slots, m being the largest member's particle count. `gather` (S, m) is
+    the particle in each slot: the member's particles in ascending order,
+    then copies of one live particle as padding. `unpad` (P,) is each
+    particle's slot in the flattened (S * m) blocks.
     """
 
     order: np.ndarray | None  # (P,) stable argsort of the member assignment
     bounds: np.ndarray         # (E + 1,) slice bounds into order
+    stacked: tuple | None = None  # members of the padded layout
 
     @classmethod
-    def from_assignment(cls, assignment, ensemble_size: int) -> "MemberGroups":
+    def from_assignment(cls, assignment, ensemble_size: int,
+                        stacked=None) -> "MemberGroups":
+        """Groups of a (P,) member assignment, padded for the members
+        `stacked` when given."""
         assignment = np.asarray(assignment)
-        if assignment.ndim != 1 or not np.issubdtype(assignment.dtype,
-                                                     np.integer):
+        if assignment.ndim != 1 or assignment.dtype.kind not in "iu":
             raise ValidationError("member assignment must be a 1-d int array")
-        if assignment.size and (assignment.min() < 0
-                                or assignment.max() >= ensemble_size):
+        try:
+            counts = np.bincount(assignment, minlength=ensemble_size)
+        except ValueError:  # a negative index
+            counts = None
+        if counts is None or counts.size > ensemble_size:
             raise ValidationError("member index out of range")
-        counts = np.bincount(assignment, minlength=ensemble_size)
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        if np.all(assignment[:-1] <= assignment[1:]):
-            return cls(None, bounds)
-        return cls(np.argsort(assignment, kind="stable"), bounds)
+        bounds = np.zeros(ensemble_size + 1, dtype=np.intp)
+        np.cumsum(counts, out=bounds[1:])
+        order = None
+        if not np.all(assignment[:-1] <= assignment[1:]):
+            order = np.argsort(assignment, kind="stable")
+        groups = cls(order, bounds)
+        return groups if stacked is None else groups.padded(stacked)
+
+    def padded(self, stacked) -> "MemberGroups":
+        """These groups, padded for the members `stacked`."""
+        stacked = tuple(stacked)
+        if list(stacked) != sorted(set(stacked)) or stacked and not (
+                0 <= stacked[0] and stacked[-1] < self.bounds.size - 1):
+            raise ValidationError(
+                f"stacked members must be ascending ensemble indices, got "
+                f"{stacked}")
+        if np.diff(self.bounds)[list(stacked)].sum() != self.bounds[-1]:
+            raise ValidationError("a particle's member is not stacked")
+        return MemberGroups(self.order, self.bounds, stacked)
+
+    @property
+    def gather(self) -> np.ndarray:
+        return self._layout[0]
+
+    @property
+    def unpad(self) -> np.ndarray:
+        return self._layout[1]
+
+    @cached_property
+    def _layout(self):
+        if self.stacked is None:
+            raise ValidationError("these groups are not padded")
+        members = list(self.stacked)
+        starts = self.bounds[members]
+        counts = self.bounds[1:][members] - starts
+        p = int(self.bounds[-1])
+        m = int(counts.max()) if p else 0
+        rows = np.arange(p) if self.order is None else self.order
+        # slot of the k-th particle in member order: member s's j-th
+        # particle goes to s * m + j
+        slots = np.repeat(np.arange(len(members)) * m - starts, counts)
+        slots += np.arange(p)
+        # padding repeats each member's first particle (another member's
+        # when it has none), so that every slot holds a live row
+        gather = np.repeat(rows[np.minimum(starts, p - 1)] if p
+                           else starts, m)
+        gather[slots] = rows
+        unpad = slots
+        if self.order is not None:
+            unpad = np.empty_like(slots)
+            unpad[self.order] = slots
+        return gather.reshape(len(members), m), unpad
 
 
 class TransitionRewardWrapper:
@@ -393,7 +555,8 @@ class TransitionRewardWrapper:
     def sample(self, obs: np.ndarray, action: np.ndarray,
                rng: np.random.Generator, sample: bool = True,
                member_assignment: np.ndarray | None = None,
-               groups: MemberGroups | None = None, dtype=np.float64):
+               groups: MemberGroups | None = None, dtype=np.float64,
+               stack: MemberStack | None = None):
         """Per-particle next-state (and reward) prediction.
 
         With fixed_model propagation, member_assignment gives the ensemble
@@ -403,28 +566,55 @@ class TransitionRewardWrapper:
         (P, D) block so results do not depend on how particles are grouped
         by member. The model forward runs in dtype (float32 or float64); its
         outputs, the noise and the predictions are float64.
+
+        A float64 forward runs member by member. A float32 one is one
+        `stacked_forward` over stack, the float32 weights of the members
+        that propagate (`ModelEnv` casts them once per rollout); without a
+        stack they are cast for this call: the elites under ensemble_mean,
+        the members with particles under fixed_model.
         """
         obs = np.asarray(obs, dtype=np.float64)
         action = np.asarray(action, dtype=np.float64)
         x = self.normalizer.normalize(np.concatenate([obs, action], axis=-1))
-        x = x.astype(_forward_dtype(dtype), copy=False)
+        dtype = _forward_dtype(dtype)
+        x = x.astype(dtype, copy=False)
+        per_member = dtype == np.float64
+        if stack is not None and (per_member or stack.dtype != dtype):
+            raise ValidationError(
+                f"{stack.dtype} stacked weights do not fit a {dtype} forward")
+        model = self.model
         p = x.shape[0]
-        d = self.model.out_size
+        d = model.out_size
         if self.propagation == "fixed_model":
             if groups is None:
                 if member_assignment is None:
                     raise ValidationError(
                         "fixed_model propagation requires a member assignment")
                 groups = MemberGroups.from_assignment(
-                    member_assignment, self.model.ensemble_size)
+                    member_assignment, model.ensemble_size)
             if groups.bounds[-1] != p:
                 raise ValidationError(
                     f"member assignment covers {groups.bounds[-1]} "
                     f"particles, expected {p}")
-            mu, logvar = self.model.grouped_forward(x, groups)
+            if per_member:
+                mu, logvar = model.grouped_forward(x, groups)
+            else:
+                if stack is None:
+                    stack = model.stack_members(
+                        np.flatnonzero(np.diff(groups.bounds)), dtype)
+                if groups.stacked != stack.members:
+                    groups = groups.padded(stack.members)
+                mu, logvar = model.grouped_forward(x, groups, stack)
         else:
-            mean_all, lv_all = self.model.forward(x)
-            elites = self.model.elite_indices
+            if per_member:
+                mean_all, lv_all = model.forward(x)
+                elites = model.elite_indices
+            else:
+                if stack is None:
+                    stack = model.stack_members(model.elite_indices, dtype)
+                mean_all, lv_all = model._heads(
+                    model.stacked_forward(x, stack).astype(np.float64))
+                elites = slice(None)
             mu = mean_all[elites].mean(axis=0)
             logvar = None
             if lv_all is not None:
@@ -546,12 +736,19 @@ class ModelTrainer:
 
 @dataclass
 class ModelEnvState:
-    """Per-particle simulation state of a ModelEnv episode."""
+    """Per-particle simulation state of a ModelEnv episode.
+
+    A float32 ModelEnv's episode also carries `stack`, the float32 copy of
+    the elites' weights made at reset: every step of the episode forwards
+    through it, so weights written after the reset do not reach the
+    episode, and its groups carry the padded layout for it.
+    """
 
     obs: np.ndarray                      # (P, S)
     member_assignment: np.ndarray | None  # (P,) ints, fixed_model only
     done: np.ndarray                     # (P,) bool
     groups: MemberGroups | None = None   # the assignment grouped by member
+    stack: MemberStack | None = None     # float32 elite weights
 
 
 class ModelEnv:
@@ -562,7 +759,9 @@ class ModelEnv:
     particles are frozen: observation held, reward zero thereafter. dtype
     (float32 or float64) is the precision of the model forward at each
     step; observations, rewards, noise and done flags are float64 either
-    way.
+    way. A float64 step forwards member by member. A float32 step is one
+    stacked forward over the elites, whose weights `reset` casts once for
+    the whole episode.
     """
 
     def __init__(self, wrapper: TransitionRewardWrapper, termination_fn,
@@ -581,26 +780,36 @@ class ModelEnv:
         p = initial_obs.shape[0]
         if p < 1:
             raise ValidationError("need at least one particle")
+        model = self.wrapper.model
+        stack = None
+        if self.dtype != np.float64:
+            stack = model.stack_members(sorted(set(model.elite_indices)),
+                                        self.dtype)
         assignment = groups = None
         if self.wrapper.propagation == "fixed_model":
-            model = self.wrapper.model
             elites = np.asarray(model.elite_indices)
             assignment = elites[rng.integers(0, len(elites), size=p)]
-            groups = MemberGroups.from_assignment(assignment,
-                                                  model.ensemble_size)
+            groups = self._group(assignment, stack)
         return ModelEnvState(initial_obs.copy(), assignment,
-                             np.zeros(p, dtype=bool), groups)
+                             np.zeros(p, dtype=bool), groups, stack)
 
     def select(self, state: ModelEnvState, rows) -> ModelEnvState:
         """The particles `rows` (indices or a boolean mask) of state, each
-        keeping its observation, member and done flag, regrouped by member."""
+        keeping its observation, member and done flag, regrouped by member;
+        the episode's stacked weights are kept."""
         assignment = groups = None
         if state.member_assignment is not None:
             assignment = state.member_assignment[rows]
-            groups = MemberGroups.from_assignment(
-                assignment, self.wrapper.model.ensemble_size)
+            groups = self._group(assignment, state.stack)
         return ModelEnvState(state.obs[rows], assignment, state.done[rows],
-                             groups)
+                             groups, state.stack)
+
+    def _group(self, assignment, stack):
+        """The assignment's groups, padded for the stack when there is
+        one."""
+        return MemberGroups.from_assignment(
+            assignment, self.wrapper.model.ensemble_size,
+            None if stack is None else stack.members)
 
     def step(self, state: ModelEnvState, actions: np.ndarray,
              rng: np.random.Generator, sample: bool = False):
@@ -612,7 +821,7 @@ class ModelEnv:
         pred_obs, pred_reward = self.wrapper.sample(
             state.obs, actions, rng, sample=sample,
             member_assignment=state.member_assignment, groups=state.groups,
-            dtype=self.dtype)
+            dtype=self.dtype, stack=state.stack)
         active = ~state.done
         next_obs = np.where(active[:, None], pred_obs, state.obs)
         if self.reward_fn is not None:
@@ -622,7 +831,7 @@ class ModelEnv:
         rewards = np.where(active, reward, 0.0)
         dones = state.done | self.termination_fn(actions, next_obs)
         new_state = ModelEnvState(next_obs, state.member_assignment, dones,
-                                  state.groups)
+                                  state.groups, state.stack)
         return next_obs, rewards, dones, new_state
 
 

@@ -2,8 +2,10 @@
 
 Parameters live in one float64 vector, with weights and biases as views
 into it. Parameters, gradients, training and checkpoints are float64; the
-inference forward (no cache) computes in float32 when its input is float32,
-which is how planning rollouts run. The backward pass is written for the
+inference forward (no cache) computes in float32 when its input is float32.
+Planning rollouts do not call it: they run one stacked float32 forward over
+an ensemble's members (`GaussianMLPEnsemble.stacked_forward`), with the
+activations of `BUFFERED_ACTIVATIONS`. The backward pass is written for the
 fixed affine/activation architecture used by the Gaussian MLPs; correctness
 is anchored to central finite differences in the test suite.
 """
@@ -66,6 +68,27 @@ def relu_grad(x: np.ndarray) -> np.ndarray:
     return (x > 0.0).astype(np.float64)
 
 
+def _silu_buffered(x: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """SiLU of x in place, as x / (1 + exp(-x)), with work (x's shape and
+    dtype) as the only temporary; exp(-x) overflows to inf, giving -0, for
+    very negative x."""
+    np.negative(x, out=work)
+    with np.errstate(over="ignore"):
+        np.exp(work, out=work)
+    work += 1.0
+    x /= work
+    return x
+
+
+def _relu_buffered(x: np.ndarray, work: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0, out=x)
+
+
+# activation name -> act(x, work): applies it to x in place, allocating
+# nothing, with work an array of x's shape and dtype that it may overwrite
+BUFFERED_ACTIVATIONS = {"silu": _silu_buffered, "relu": _relu_buffered}
+
+
 def truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     """Gaussian draws with resampling outside +/- 2 std."""
     out = rng.standard_normal(shape)
@@ -80,6 +103,21 @@ def param_count(layer_sizes) -> int:
     """Number of weights and biases of a DenseNet with these layer sizes."""
     return sum((fan_in + 1) * fan_out
                for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]))
+
+
+def layer_views(layer_sizes, vector: np.ndarray):
+    """Lists of weight (..., out, in) and bias (..., out) views into the
+    last axis of vector, laid out as a DenseNet's params: w0, b0, w1, b1,
+    ...; a leading axis, such as an ensemble's members, is kept."""
+    weights, biases, offset = [], [], 0
+    lead = vector.shape[:-1]
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        weights.append(vector[..., offset:offset + fan_out * fan_in]
+                       .reshape(lead + (fan_out, fan_in)))
+        offset += fan_out * fan_in
+        biases.append(vector[..., offset:offset + fan_out])
+        offset += fan_out
+    return weights, biases
 
 
 class DenseNet:
@@ -106,7 +144,7 @@ class DenseNet:
         self.activation = activation
         n = param_count(self.layer_sizes)
         self.params = np.zeros(n) if params is None else params
-        weights, biases = self._views(self.params)
+        weights, biases = layer_views(self.layer_sizes, self.params)
         for w in weights:
             fan_in = w.shape[1]
             w[...] = truncated_normal(rng, w.shape, 1.0 / np.sqrt(2.0 * fan_in))
@@ -116,18 +154,6 @@ class DenseNet:
                              else _relu_inplace)
         self._act_grad = silu_grad if activation == "silu" else relu_grad
         self._cache = None
-
-    def _views(self, vector: np.ndarray):
-        """Lists of weight and bias views into a vector laid out like
-        `params`."""
-        weights, biases, offset = [], [], 0
-        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            weights.append(vector[offset:offset + fan_out * fan_in]
-                           .reshape(fan_out, fan_in))
-            offset += fan_out * fan_in
-            biases.append(vector[offset:offset + fan_out])
-            offset += fan_out
-        return weights, biases
 
     @property
     def in_size(self) -> int:
@@ -145,7 +171,8 @@ class DenseNet:
         pre-activations for `backward` and computes in float64; without it
         the bias and activation are applied in place, nothing is kept, and a
         float32 x is forwarded in float32 (the weights cast on each call),
-        any other x in float64."""
+        any other x in float64. Planning rollouts run the ensemble's stacked
+        forward instead (`GaussianMLPEnsemble.stacked_forward`)."""
         x = np.asarray(x)
         if cache or x.dtype != np.float32:
             x = np.asarray(x, dtype=np.float64)
@@ -187,7 +214,8 @@ class DenseNet:
         if g.shape != pre[-1].shape:
             raise ValueError(f"upstream grad shape {g.shape} != output "
                              f"shape {pre[-1].shape}")
-        w_grads, b_grads = self._views(
+        w_grads, b_grads = layer_views(
+            self.layer_sizes,
             np.empty_like(self.params) if out is None else out)
         last = len(self.weights) - 1
         for i in range(last, -1, -1):

@@ -6,7 +6,7 @@ from mbrlkit.algorithms import (LearningCurve, PETSConfig, build_wrapper,
                                 train_model_on_buffer)
 from mbrlkit.data import ReplayBuffer, ValidationError
 from mbrlkit.envs import EnvSpec, no_termination
-from mbrlkit.models import ModelTrainer
+from mbrlkit.models import GaussianMLPEnsemble, ModelTrainer
 from mbrlkit.nets import DenseNet, load_arrays
 from mbrlkit.planning import CEMConfig, RandomAgent
 
@@ -187,13 +187,21 @@ class TestPETSRun:
                                                        monkeypatch):
         seen = set()
         real_forward = DenseNet.forward
+        real_stacked = GaussianMLPEnsemble.stacked_forward
 
         def spy(net, x, cache=False):
             out = real_forward(net, x, cache)
             seen.add((cache, out.dtype.name))
             return out
 
+        def stacked_spy(model, x, stack):
+            out = real_stacked(model, x, stack)
+            seen.add((False, out.dtype.name))
+            return out
+
         monkeypatch.setattr(DenseNet, "forward", spy)
+        monkeypatch.setattr(GaussianMLPEnsemble, "stacked_forward",
+                            stacked_spy)
         pets_run(small_cfg(deterministic=False), out_dir=tmp_path)
         # training steps (cache) and elite scoring run in float64, the
         # planning rollouts in float32

@@ -100,6 +100,33 @@ class TestValueCombinationErrors:
          "dynamics_model: elite_count must be >= 1"),
         ({"agent": {"particles": 0}, "overrides": SHORT_RUN},
          "agent: particles must be >= 1"),
+        ({"dynamics_model": {"propagation_method": "bogus"},
+          "overrides": SHORT_RUN},
+         "dynamics_model: propagation_method must be one of"),
+        ({"agent": {"horizon": 0}, "overrides": SHORT_RUN},
+         "agent: horizon must be >= 1"),
+        ({"overrides": {"model_batch_size": 0, **SHORT_RUN}},
+         "overrides: model_batch_size must be >= 1"),
+        ({"overrides": {"validation_ratio": 1.5, **SHORT_RUN}},
+         "overrides: validation_ratio must be in [0, 1)"),
+        ({"algorithm": {"initial_exploration_steps": -5},
+          "overrides": SHORT_RUN},
+         "algorithm: initial_exploration_steps must be >= 0"),
+        ({"algorithm": {"initial_exploration_steps": 0},
+          "overrides": {"retrain_at_trial_start": True, **SHORT_RUN}},
+         "algorithm: initial_exploration_steps must be >= 1 when "
+         "retrain_at_trial_start is on"),
+        # these four used to run: patience 0 as 1, num_layers 0 as 1,
+        # hid_size 0 as a net emitting its last bias, lr < 0 as ascent
+        ({"overrides": {"patience": 0, **SHORT_RUN}},
+         "overrides: patience must be >= 1"),
+        ({"dynamics_model": {"num_layers": 0}, "overrides": SHORT_RUN},
+         "dynamics_model: num_layers must be >= 1"),
+        ({"dynamics_model": {"hid_size": 0, "num_layers": 3},
+          "overrides": SHORT_RUN},
+         "dynamics_model: hid_size must be >= 1"),
+        ({"dynamics_model": {"lr": -1.0}, "overrides": SHORT_RUN},
+         "dynamics_model: lr must be > 0"),
     ])
     def test_train_names_section(self, tmp_path, capsys, doc, message):
         path = self.write(tmp_path, doc)

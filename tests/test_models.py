@@ -737,15 +737,24 @@ class TestFloat32Forward:
                              TransitionRewardWrapper.PROPAGATION_METHODS)
     def test_member_forwards_run_in_env_dtype(self, propagation,
                                               monkeypatch):
+        # float64 steps forward member by member, float32 ones stacked
         seen = []
         real_forward = DenseNet.forward
+        real_stacked = GaussianMLPEnsemble.stacked_forward
 
         def spy(net, x, cache=False):
             out = real_forward(net, x, cache)
             seen.append((np.asarray(x).dtype, out.dtype))
             return out
 
+        def stacked_spy(model, x, stack):
+            out = real_stacked(model, x, stack)
+            seen.append((np.asarray(x).dtype, out.dtype))
+            return out
+
         monkeypatch.setattr(DenseNet, "forward", spy)
+        monkeypatch.setattr(GaussianMLPEnsemble, "stacked_forward",
+                            stacked_spy)
         case = {"ensemble_size": 3, "elites": [0, 2],
                 "propagation": propagation, "activation": "silu",
                 "deterministic": False, "particles": 7, "horizon": 1,
@@ -778,6 +787,180 @@ class TestFloat32Forward:
             w.sample(np.zeros((2, 2)), np.zeros((2, 1)),
                      np.random.default_rng(0), member_assignment=np.zeros(
                          2, dtype=int), dtype=np.float16)
+
+
+@st.composite
+def stacked_cases(draw):
+    """A small ensemble, its elites (the stacked members), particles spread
+    over the elites (so that some hold 0 or 1 of them), a propagation
+    method, an activation and deterministic or probabilistic heads."""
+    case = draw(precision_cases())
+    p = case["particles"]
+    case["assignment"] = np.array(draw(st.lists(
+        st.sampled_from(case["elites"]), min_size=p, max_size=p)))
+    case["sample"] = draw(st.booleans())
+    return case
+
+
+def per_member_f32_reference(wrapper, obs, act, assignment, rng, sample):
+    """The float32 forward one member at a time (`DenseNet.forward`), then
+    the heads and one (P, D) noise block in float64."""
+    model = wrapper.model
+    x = wrapper.normalizer.normalize(np.concatenate([obs, act], axis=1))
+    x = x.astype(np.float32)
+    if wrapper.propagation == "fixed_model":
+        mu = np.empty((len(x), model.out_size))
+        logvar = np.empty_like(mu)
+        for m in np.unique(assignment):
+            rows = np.flatnonzero(assignment == m)
+            mu[rows], lv = model.member_forward(int(m), x[rows])
+            if lv is not None:
+                logvar[rows] = lv
+    else:
+        mean_all, lv_all = model.forward(x)
+        elites = model.elite_indices
+        mu = mean_all[elites].mean(axis=0)
+        if lv_all is not None:
+            logvar = np.log(np.exp(lv_all[elites]).mean(axis=0))
+    if sample and not model.deterministic:
+        mu = mu + np.exp(0.5 * logvar) * rng.standard_normal(mu.shape)
+    return obs + mu
+
+
+class TestStackedForward:
+    """The float32 forward of planning runs all stacked members in one
+    matmul per layer and gives the per-member float32 forward's results."""
+
+    @given(stacked_cases())
+    @settings(max_examples=60)
+    def test_matches_member_forwards(self, case):
+        menv, obs, actions = precision_env(case, np.float32)
+        w = menv.wrapper
+        model = w.model
+        assignment = case["assignment"]
+        stack = model.stack_members(sorted(case["elites"]))
+        groups = MemberGroups.from_assignment(
+            assignment, case["ensemble_size"], stack.members)
+        ref_rng = np.random.default_rng(1)
+        expected = per_member_f32_reference(w, obs, actions[0], assignment,
+                                            ref_rng, case["sample"])
+        # with the rollout's stack and groups, and with neither
+        for kwargs in ({"groups": groups, "stack": stack},
+                       {"member_assignment": assignment}):
+            rng = np.random.default_rng(1)
+            got, _ = w.sample(obs, actions[0], rng, sample=case["sample"],
+                              dtype=np.float32, **kwargs)
+            np.testing.assert_allclose(got, expected, rtol=F32_TOL,
+                                       atol=F32_TOL)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @given(grouped_cases())
+    @settings(max_examples=60)
+    def test_padded_layout_hands_rows_back_in_order(self, case):
+        assignment = case["assignment"]
+        stacked = sorted(case["present"])
+        groups = MemberGroups.from_assignment(
+            assignment, case["ensemble_size"], stacked)
+        p = len(assignment)
+        m = groups.gather.shape[1]
+        assert groups.gather.shape == (len(stacked), m)
+        assert m == np.bincount(assignment).max()
+        # every particle has a slot of its own, in its member's block, and
+        # that slot holds it; the padding holds live particles
+        assert np.array_equal(groups.gather.ravel()[groups.unpad],
+                              np.arange(p))
+        assert len(set(groups.unpad.tolist())) == p
+        slot_member = np.asarray(stacked)[groups.unpad // m]
+        assert np.array_equal(slot_member, assignment)
+        assert set(groups.gather.ravel().tolist()) == set(range(p))
+        # a member's particles fill its block in ascending order
+        for s, e in enumerate(stacked):
+            mine = np.flatnonzero(assignment == e)
+            assert np.array_equal(groups.gather[s, :len(mine)], mine)
+        # the forward hands each row back where the caller put it: the
+        # particles reversed give the reversed rows
+        w, rng = grouped_wrapper(case)
+        x = rng.standard_normal((p, 3)).astype(np.float32)
+        stack = w.model.stack_members(stacked)
+        mean, _ = w.model.grouped_forward(x, groups, stack)
+        rev = MemberGroups.from_assignment(
+            assignment[::-1], case["ensemble_size"], stacked)
+        mean_rev, _ = w.model.grouped_forward(x[::-1], rev, stack)
+        np.testing.assert_allclose(mean_rev, mean[::-1], rtol=F32_TOL,
+                                   atol=F32_TOL)
+        alone = np.concatenate([
+            w.model.member_forward(int(e), x[i:i + 1])[0]
+            for i, e in enumerate(assignment)])
+        np.testing.assert_allclose(mean, alone, rtol=F32_TOL, atol=F32_TOL)
+
+    @given(precision_cases())
+    @settings(max_examples=30)
+    def test_weights_are_cast_at_reset(self, case):
+        def rollout(menv, state, rng):
+            steps = []
+            for t in range(case["horizon"]):
+                obs, rewards, _, state = menv.step(
+                    state, actions[t], rng, sample=True)
+                steps.append(np.concatenate([obs.ravel(), rewards]))
+            return np.concatenate(steps)
+
+        menv, obs0, actions = precision_env(case, np.float32)
+        model = menv.wrapper.model
+        before = rollout(menv, menv.reset(obs0, np.random.default_rng(1)),
+                         np.random.default_rng(2))
+        # a rollout reset before a write runs on the weights of its reset
+        state = menv.reset(obs0, np.random.default_rng(1))
+        for member in model.members:
+            member.biases[-1][...] += 0.5
+        assert np.array_equal(rollout(menv, state, np.random.default_rng(2)),
+                              before)
+        # a rollout reset after the write sees it, as the float64 one does
+        after = rollout(menv, menv.reset(obs0, np.random.default_rng(1)),
+                        np.random.default_rng(2))
+        assert not np.allclose(after, before)
+        env64 = ModelEnv(menv.wrapper, menv.termination_fn, menv.reward_fn)
+        after64 = rollout(env64, env64.reset(obs0, np.random.default_rng(1)),
+                          np.random.default_rng(2))
+        np.testing.assert_allclose(after, after64, rtol=F32_TOL,
+                                   atol=4 * F32_TOL)
+
+    def test_stacks_are_views_of_the_arena(self):
+        model = GaussianMLPEnsemble(3, 2, ensemble_size=3, num_layers=3,
+                                    hid_size=4, rng=np.random.default_rng(0))
+        for i, (w, b) in enumerate(zip(model.layer_weights,
+                                       model.layer_biases)):
+            assert np.shares_memory(w, model.params)
+            assert np.shares_memory(b, model.params)
+            for e, member in enumerate(model.members):
+                assert np.shares_memory(w[e], member.weights[i])
+                assert np.array_equal(w[e], member.weights[i])
+                assert np.array_equal(b[e], member.biases[i])
+        stack = model.stack_members([2, 0])
+        assert stack.members == (2, 0) and stack.dtype == np.float32
+        assert np.array_equal(stack.weights[1][0],
+                              model.members[2].weights[1].T.astype(np.float32))
+        assert not np.shares_memory(stack.weights[0], model.params)
+
+    def test_mismatches_rejected(self):
+        model = GaussianMLPEnsemble(3, 2, ensemble_size=3, num_layers=2,
+                                    hid_size=4, rng=np.random.default_rng(0))
+        w = TransitionRewardWrapper(model, 2, 1)
+        obs, act = np.zeros((3, 2)), np.zeros((3, 1))
+        assignment = np.array([0, 2, 2])
+        for members in ([0, 0], [3], [-1]):
+            with pytest.raises(ValidationError):
+                model.stack_members(members)
+        with pytest.raises(ValidationError):  # member 2 is not stacked
+            MemberGroups.from_assignment(assignment, 3, [0, 1])
+        with pytest.raises(ValidationError):  # not ascending
+            MemberGroups.from_assignment(assignment, 3, [2, 0])
+        groups = MemberGroups.from_assignment(assignment, 3, [0, 1, 2])
+        with pytest.raises(ValidationError):
+            model.grouped_forward(np.zeros((3, 3), np.float32), groups,
+                                  model.stack_members([0, 2]))
+        with pytest.raises(ValidationError):  # stacks run float32 only
+            w.sample(obs, act, np.random.default_rng(0), groups=groups,
+                     stack=model.stack_members([0, 1, 2], np.float64))
 
 
 class TestCheckpoint:
