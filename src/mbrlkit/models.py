@@ -29,6 +29,8 @@ from .nets import (BUFFERED_ACTIVATIONS, AdamState, DenseNet, layer_views,
 LOGVAR_BOUND_REG = 0.01
 MIN_LOGVAR_INIT = -10.0
 MAX_LOGVAR_INIT = 0.5
+# the precision of a MemberStack and of the forwards through it
+STACK_DTYPE = np.float32
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
@@ -123,6 +125,8 @@ class GaussianMLPEnsemble:
             raise ValidationError("elite set must be nonempty")
         if any(i < 0 or i >= self.ensemble_size for i in indices):
             raise ValidationError("elite index out of range")
+        if len(set(indices)) != len(indices):
+            raise ValidationError(f"repeated elite index in {indices}")
         self.elite_indices = indices
 
     def get_flat(self) -> np.ndarray:
@@ -161,32 +165,30 @@ class GaussianMLPEnsemble:
         out = self.members[e].forward(x, cache=cache)
         return self._heads(out.astype(np.float64, copy=False))
 
-    def stack_members(self, members, dtype=np.float32) -> MemberStack:
-        """A dtype copy of the parameters of `members` (distinct indices,
-        in stack order), made now: later writes to `params` do not reach
-        it."""
+    def stack_members(self, members) -> MemberStack:
+        """A float32 copy of the parameters of `members` (distinct
+        indices, in stack order), made now: later writes to `params` do
+        not reach it."""
         members = tuple(int(e) for e in members)
         if len(set(members)) != len(members) or any(
                 e < 0 or e >= self.ensemble_size for e in members):
             raise ValidationError(f"bad members to stack: {members}")
-        dtype = _forward_dtype(dtype)
-        # a run of members is a slice, which numpy copies faster
-        run = members and members == tuple(range(members[0],
-                                                 members[-1] + 1))
-        pick = slice(members[0], members[-1] + 1) if run else list(members)
+        pick = list(members)
         return MemberStack(
             members,
-            tuple(np.ascontiguousarray(w[pick].transpose(0, 2, 1), dtype)
+            tuple(np.ascontiguousarray(w[pick].transpose(0, 2, 1),
+                                       STACK_DTYPE)
                   for w in self.layer_weights),
-            tuple(b[pick, None].astype(dtype) for b in self.layer_biases))
+            tuple(b[pick, None].astype(STACK_DTYPE)
+                  for b in self.layer_biases))
 
     def stacked_forward(self, x: np.ndarray, stack: MemberStack):
-        """Raw outputs of the stacked members, in the stack's dtype: x is
+        """Raw float32 outputs of the stacked members: x is
         (S, m, in), one block of rows per stacked member, or (B, in), the
         same rows for every member; the output is (S, m, head) or (S, B,
         head). Each layer is one matmul over the whole stack, one bias add
         and one in-place activation."""
-        h = np.asarray(x, dtype=stack.dtype)
+        h = np.asarray(x, dtype=STACK_DTYPE)
         if h.ndim not in (2, 3) or h.shape[-1] != self.in_size:
             raise ValidationError(f"bad input shape {h.shape}")
         *hidden, (w_out, b_out) = zip(stack.weights, stack.biases)
@@ -370,8 +372,8 @@ def _forward_dtype(dtype) -> np.dtype:
 
 
 class MemberStack:
-    """A copy of some ensemble members' parameters for one batched forward
-    (`GaussianMLPEnsemble.stack_members`).
+    """A float32 copy of some ensemble members' parameters for one batched
+    forward (`GaussianMLPEnsemble.stack_members`).
 
     Per layer, weights[i] is (S, in, out), each stacked member's matrix
     transposed, and biases[i] is (S, 1, out); members are the S ensemble
@@ -384,18 +386,14 @@ class MemberStack:
         self.members = members
         self.weights = weights
         self.biases = biases
-        self._work = np.empty(0, self.dtype)
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.weights[0].dtype
+        self._work = np.empty(0, STACK_DTYPE)
 
     def work(self, shape) -> np.ndarray:
         """Three uninitialised contiguous arrays of `shape`, (3,) + shape,
         on memory that the next call reuses."""
         size = 3 * math.prod(shape)
         if self._work.size < size:
-            self._work = np.empty(size, self.dtype)
+            self._work = np.empty(size, STACK_DTYPE)
         return self._work[:size].reshape((3,) + tuple(shape))
 
 
@@ -408,13 +406,14 @@ class MemberGroups:
     None when the particles are already in member order, so that member e's
     are the rows bounds[e]:bounds[e + 1] themselves.
 
-    Groups with `stacked` members (ascending ensemble indices that hold
-    every particle) also have a padded layout for a `MemberStack` of those
-    members, built on first use: each stacked member gets a block of m
-    slots, m being the largest member's particle count. `gather` (S, m) is
-    the particle in each slot: the member's particles in ascending order,
-    then copies of one live particle as padding. `unpad` (P,) is each
-    particle's slot in the flattened (S * m) blocks.
+    Groups with `stacked` members (`padded`: ascending ensemble indices
+    that hold every particle) also have a padded layout for a
+    `MemberStack` of those members, built on first use: each stacked
+    member gets a block of m slots, m being the largest member's particle
+    count. `gather` (S, m) is the particle in each slot: the member's
+    particles in ascending order, then copies of one live particle as
+    padding. `unpad` (P,) is each particle's slot in the flattened (S * m)
+    blocks.
     """
 
     order: np.ndarray | None  # (P,) stable argsort of the member assignment
@@ -422,10 +421,7 @@ class MemberGroups:
     stacked: tuple | None = None  # members of the padded layout
 
     @classmethod
-    def from_assignment(cls, assignment, ensemble_size: int,
-                        stacked=None) -> "MemberGroups":
-        """Groups of a (P,) member assignment, padded for the members
-        `stacked` when given."""
+    def from_assignment(cls, assignment, ensemble_size: int) -> "MemberGroups":
         assignment = np.asarray(assignment)
         if assignment.ndim != 1 or assignment.dtype.kind not in "iu":
             raise ValidationError("member assignment must be a 1-d int array")
@@ -440,8 +436,7 @@ class MemberGroups:
         order = None
         if not np.all(assignment[:-1] <= assignment[1:]):
             order = np.argsort(assignment, kind="stable")
-        groups = cls(order, bounds)
-        return groups if stacked is None else groups.padded(stacked)
+        return cls(order, bounds)
 
     def padded(self, stacked) -> "MemberGroups":
         """These groups, padded for the members `stacked`."""
@@ -579,9 +574,9 @@ class TransitionRewardWrapper:
         dtype = _forward_dtype(dtype)
         x = x.astype(dtype, copy=False)
         per_member = dtype == np.float64
-        if stack is not None and (per_member or stack.dtype != dtype):
+        if stack is not None and per_member:
             raise ValidationError(
-                f"{stack.dtype} stacked weights do not fit a {dtype} forward")
+                "stacked weights run a float32 forward, not a float64 one")
         model = self.model
         p = x.shape[0]
         d = model.out_size
@@ -601,7 +596,7 @@ class TransitionRewardWrapper:
             else:
                 if stack is None:
                     stack = model.stack_members(
-                        np.flatnonzero(np.diff(groups.bounds)), dtype)
+                        np.flatnonzero(np.diff(groups.bounds)))
                 if groups.stacked != stack.members:
                     groups = groups.padded(stack.members)
                 mu, logvar = model.grouped_forward(x, groups, stack)
@@ -611,7 +606,7 @@ class TransitionRewardWrapper:
                 elites = model.elite_indices
             else:
                 if stack is None:
-                    stack = model.stack_members(model.elite_indices, dtype)
+                    stack = model.stack_members(sorted(model.elite_indices))
                 mean_all, lv_all = model._heads(
                     model.stacked_forward(x, stack).astype(np.float64))
                 elites = slice(None)
@@ -783,13 +778,15 @@ class ModelEnv:
         model = self.wrapper.model
         stack = None
         if self.dtype != np.float64:
-            stack = model.stack_members(sorted(set(model.elite_indices)),
-                                        self.dtype)
+            stack = model.stack_members(sorted(model.elite_indices))
         assignment = groups = None
         if self.wrapper.propagation == "fixed_model":
             elites = np.asarray(model.elite_indices)
             assignment = elites[rng.integers(0, len(elites), size=p)]
-            groups = self._group(assignment, stack)
+            groups = MemberGroups.from_assignment(assignment,
+                                                  model.ensemble_size)
+            if stack is not None:
+                groups = groups.padded(stack.members)
         return ModelEnvState(initial_obs.copy(), assignment,
                              np.zeros(p, dtype=bool), groups, stack)
 
@@ -800,16 +797,12 @@ class ModelEnv:
         assignment = groups = None
         if state.member_assignment is not None:
             assignment = state.member_assignment[rows]
-            groups = self._group(assignment, state.stack)
+            groups = MemberGroups.from_assignment(
+                assignment, self.wrapper.model.ensemble_size)
+            if state.stack is not None:
+                groups = groups.padded(state.stack.members)
         return ModelEnvState(state.obs[rows], assignment, state.done[rows],
                              groups, state.stack)
-
-    def _group(self, assignment, stack):
-        """The assignment's groups, padded for the stack when there is
-        one."""
-        return MemberGroups.from_assignment(
-            assignment, self.wrapper.model.ensemble_size,
-            None if stack is None else stack.members)
 
     def step(self, state: ModelEnvState, actions: np.ndarray,
              rng: np.random.Generator, sample: bool = False):

@@ -60,7 +60,9 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def _relu_inplace(x: np.ndarray) -> np.ndarray:
+def _relu_inplace(x: np.ndarray, work: np.ndarray | None = None
+                  ) -> np.ndarray:
+    """ReLU of x in place; work is ignored (see BUFFERED_ACTIVATIONS)."""
     return np.maximum(x, 0.0, out=x)
 
 
@@ -80,13 +82,9 @@ def _silu_buffered(x: np.ndarray, work: np.ndarray) -> np.ndarray:
     return x
 
 
-def _relu_buffered(x: np.ndarray, work: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0, out=x)
-
-
 # activation name -> act(x, work): applies it to x in place, allocating
 # nothing, with work an array of x's shape and dtype that it may overwrite
-BUFFERED_ACTIVATIONS = {"silu": _silu_buffered, "relu": _relu_buffered}
+BUFFERED_ACTIVATIONS = {"silu": _silu_buffered, "relu": _relu_inplace}
 
 
 def truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:

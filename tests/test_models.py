@@ -151,6 +151,14 @@ class TestEnsembleMean:
         manual = sum(mean[j] for j in elites) / len(elites)
         assert np.array_equal(m.ensemble_mean_predict(x), manual)
 
+    @pytest.mark.parametrize("elites", [[], [7], [-1], [0, 0, 2]])
+    def test_bad_elite_sets_rejected(self, elites):
+        m = GaussianMLPEnsemble(2, 2, ensemble_size=7, num_layers=2,
+                                hid_size=8, rng=np.random.default_rng(3))
+        with pytest.raises(ValidationError):
+            m.set_elite(elites)
+        assert m.elite_indices == list(range(7))
+
     def test_permuting_members_preserves_mean(self):
         rng = np.random.default_rng(4)
         m = GaussianMLPEnsemble(2, 1, ensemble_size=3, num_layers=2,
@@ -840,7 +848,7 @@ class TestStackedForward:
         assignment = case["assignment"]
         stack = model.stack_members(sorted(case["elites"]))
         groups = MemberGroups.from_assignment(
-            assignment, case["ensemble_size"], stack.members)
+            assignment, case["ensemble_size"]).padded(stack.members)
         ref_rng = np.random.default_rng(1)
         expected = per_member_f32_reference(w, obs, actions[0], assignment,
                                             ref_rng, case["sample"])
@@ -860,7 +868,7 @@ class TestStackedForward:
         assignment = case["assignment"]
         stacked = sorted(case["present"])
         groups = MemberGroups.from_assignment(
-            assignment, case["ensemble_size"], stacked)
+            assignment, case["ensemble_size"]).padded(stacked)
         p = len(assignment)
         m = groups.gather.shape[1]
         assert groups.gather.shape == (len(stacked), m)
@@ -884,7 +892,7 @@ class TestStackedForward:
         stack = w.model.stack_members(stacked)
         mean, _ = w.model.grouped_forward(x, groups, stack)
         rev = MemberGroups.from_assignment(
-            assignment[::-1], case["ensemble_size"], stacked)
+            assignment[::-1], case["ensemble_size"]).padded(stacked)
         mean_rev, _ = w.model.grouped_forward(x[::-1], rev, stack)
         np.testing.assert_allclose(mean_rev, mean[::-1], rtol=F32_TOL,
                                    atol=F32_TOL)
@@ -936,7 +944,9 @@ class TestStackedForward:
                 assert np.array_equal(w[e], member.weights[i])
                 assert np.array_equal(b[e], member.biases[i])
         stack = model.stack_members([2, 0])
-        assert stack.members == (2, 0) and stack.dtype == np.float32
+        assert stack.members == (2, 0)
+        assert {a.dtype for a in stack.weights + stack.biases} == {
+            np.dtype(np.float32)}
         assert np.array_equal(stack.weights[1][0],
                               model.members[2].weights[1].T.astype(np.float32))
         assert not np.shares_memory(stack.weights[0], model.params)
@@ -950,17 +960,18 @@ class TestStackedForward:
         for members in ([0, 0], [3], [-1]):
             with pytest.raises(ValidationError):
                 model.stack_members(members)
+        groups = MemberGroups.from_assignment(assignment, 3)
         with pytest.raises(ValidationError):  # member 2 is not stacked
-            MemberGroups.from_assignment(assignment, 3, [0, 1])
+            groups.padded([0, 1])
         with pytest.raises(ValidationError):  # not ascending
-            MemberGroups.from_assignment(assignment, 3, [2, 0])
-        groups = MemberGroups.from_assignment(assignment, 3, [0, 1, 2])
+            groups.padded([2, 0])
+        groups = groups.padded([0, 1, 2])
         with pytest.raises(ValidationError):
             model.grouped_forward(np.zeros((3, 3), np.float32), groups,
                                   model.stack_members([0, 2]))
         with pytest.raises(ValidationError):  # stacks run float32 only
             w.sample(obs, act, np.random.default_rng(0), groups=groups,
-                     stack=model.stack_members([0, 1, 2], np.float64))
+                     stack=model.stack_members([0, 1, 2]))
 
 
 class TestCheckpoint:
