@@ -13,7 +13,6 @@ for optimizer stability; the two differ only by a constant factor.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -191,19 +190,17 @@ class GaussianMLPEnsemble:
         h = np.asarray(x, dtype=STACK_DTYPE)
         if h.ndim not in (2, 3) or h.shape[-1] != self.in_size:
             raise ValidationError(f"bad input shape {h.shape}")
-        *hidden, (w_out, b_out) = zip(stack.weights, stack.biases)
-        if hidden:
-            # the hidden layers write into the stack's work arrays, two
-            # alternating and one for the activation, so that a step
-            # allocates (and faults in) no large temporaries
-            work = stack.work((len(stack.members), h.shape[-2],
-                               hidden[0][0].shape[-1]))
-            for i, (w, b) in enumerate(hidden):
-                h = np.matmul(h, w, out=work[i % 2])
-                h += b
-                self._act_buffered(h, work[2])
-        h = np.matmul(h, w_out)
-        h += b_out
+        # the hidden layers write into the stack's work arrays, two
+        # alternating and one for the activation, so that a step allocates
+        # (and faults in) no large temporaries
+        work, biases = stack.buffers(h.shape[-2])
+        last = len(stack.weights) - 1
+        for i in range(last):
+            h = np.matmul(h, stack.weights[i], out=work[i % 2])
+            h += biases[i]
+            self._act_buffered(h, work[2])
+        h = np.matmul(h, stack.weights[last])
+        h += biases[last]
         return h
 
     def grouped_forward(self, x: np.ndarray, groups: MemberGroups,
@@ -222,11 +219,11 @@ class GaussianMLPEnsemble:
                 raise ValidationError(
                     f"groups padded for members {groups.stacked}, weights "
                     f"stacked for {stack.members}")
-            # np.take, not fancy indexing: the same rows, fewer microseconds
-            blocks = self.stacked_forward(np.take(x, groups.gather, axis=0),
+            # take, not fancy indexing: the same rows, fewer microseconds
+            blocks = self.stacked_forward(x.take(groups.gather, axis=0),
                                           stack)
-            out = np.take(blocks.reshape(-1, blocks.shape[-1]), groups.unpad,
-                          axis=0)
+            out = blocks.reshape(-1, blocks.shape[-1]).take(groups.unpad,
+                                                           axis=0)
             return self._heads(out.astype(np.float64))
         x_sorted = x if groups.order is None else x[groups.order]
         out_sorted = np.empty((x.shape[0], self.layer_sizes[-1]))
@@ -377,24 +374,33 @@ class MemberStack:
 
     Per layer, weights[i] is (S, in, out), each stacked member's matrix
     transposed, and biases[i] is (S, 1, out); members are the S ensemble
-    indices, in stack order. The stack also keeps the work buffers of the
-    forwards through it: a rollout makes one stack and steps through it
-    many times, so its hidden layers reuse the same memory.
+    indices, in stack order. The stack also keeps the buffers of the
+    forwards through it (`buffers`): a rollout makes one stack and steps
+    the same rows through it many times, so every step reuses the same
+    memory.
     """
 
     def __init__(self, members: tuple, weights: tuple, biases: tuple):
         self.members = members
         self.weights = weights
         self.biases = biases
-        self._work = np.empty(0, STACK_DTYPE)
+        self._rows = self._buffers = None
 
-    def work(self, shape) -> np.ndarray:
-        """Three uninitialised contiguous arrays of `shape`, (3,) + shape,
-        on memory that the next call reuses."""
-        size = 3 * math.prod(shape)
-        if self._work.size < size:
-            self._work = np.empty(size, STACK_DTYPE)
-        return self._work[:size].reshape((3,) + tuple(shape))
+    def buffers(self, rows: int):
+        """(work, biases) for forwards of `rows` rows per member, made on
+        the first call for that row count and then reused: work is three
+        zero-filled (S, rows, hidden) arrays, and biases[i] is layer i's
+        bias repeated over the rows, (S, rows, out), so that each bias add
+        runs over whole contiguous arrays."""
+        if rows != self._rows:
+            s = len(self.members)
+            work = np.zeros((3, s, rows, self.biases[0].shape[-1]),
+                            STACK_DTYPE)
+            biases = tuple(
+                np.ascontiguousarray(np.broadcast_to(b, (s, rows, b.shape[-1])))
+                for b in self.biases)
+            self._rows, self._buffers = rows, (work, biases)
+        return self._buffers
 
 
 @dataclass(frozen=True)
@@ -736,22 +742,26 @@ class ModelEnvState:
     A float32 ModelEnv's episode also carries `stack`, the float32 copy of
     the elites' weights made at reset: every step of the episode forwards
     through it, so weights written after the reset do not reach the
-    episode, and its groups carry the padded layout for it.
+    episode. `groups`, the member assignment grouped by member (padded
+    for the stack when there is one), is built by the episode's first step
+    and carried by every later one: an episode steps the same particles
+    from start to end, so it groups them once.
     """
 
     obs: np.ndarray                      # (P, S)
     member_assignment: np.ndarray | None  # (P,) ints, fixed_model only
     done: np.ndarray                     # (P,) bool
-    groups: MemberGroups | None = None   # the assignment grouped by member
     stack: MemberStack | None = None     # float32 elite weights
+    groups: MemberGroups | None = None   # built on first use
 
 
 class ModelEnv:
     """Wraps a trained transition model as a batched environment.
 
     Requires a termination function; rewards come from an optional analytic
-    reward function or from the model's learned reward head. Finished
-    particles are frozen: observation held, reward zero thereafter. dtype
+    reward function or from the model's learned reward head. An episode
+    steps a fixed batch of particles: a finished particle stays in it,
+    frozen, its observation held and its reward zero thereafter. dtype
     (float32 or float64) is the precision of the model forward at each
     step; observations, rewards, noise and done flags are float64 either
     way. A float64 step forwards member by member. A float32 step is one
@@ -779,30 +789,23 @@ class ModelEnv:
         stack = None
         if self.dtype != np.float64:
             stack = model.stack_members(sorted(model.elite_indices))
-        assignment = groups = None
+        assignment = None
         if self.wrapper.propagation == "fixed_model":
             elites = np.asarray(model.elite_indices)
             assignment = elites[rng.integers(0, len(elites), size=p)]
-            groups = MemberGroups.from_assignment(assignment,
-                                                  model.ensemble_size)
-            if stack is not None:
-                groups = groups.padded(stack.members)
         return ModelEnvState(initial_obs.copy(), assignment,
-                             np.zeros(p, dtype=bool), groups, stack)
+                             np.zeros(p, dtype=bool), stack)
 
     def select(self, state: ModelEnvState, rows) -> ModelEnvState:
         """The particles `rows` (indices or a boolean mask) of state, each
-        keeping its observation, member and done flag, regrouped by member;
-        the episode's stacked weights are kept."""
-        assignment = groups = None
+        keeping its observation, member and done flag, as an episode of
+        their own (grouped by its first step); the episode's stacked
+        weights are kept."""
+        assignment = None
         if state.member_assignment is not None:
             assignment = state.member_assignment[rows]
-            groups = MemberGroups.from_assignment(
-                assignment, self.wrapper.model.ensemble_size)
-            if state.stack is not None:
-                groups = groups.padded(state.stack.members)
         return ModelEnvState(state.obs[rows], assignment, state.done[rows],
-                             groups, state.stack)
+                             state.stack)
 
     def step(self, state: ModelEnvState, actions: np.ndarray,
              rng: np.random.Generator, sample: bool = False):
@@ -811,20 +814,30 @@ class ModelEnv:
             raise ValidationError(
                 f"bad action shape {actions.shape}; expected "
                 f"({state.obs.shape[0]}, {self.wrapper.act_dim})")
+        groups = state.groups
+        if groups is None and state.member_assignment is not None:
+            groups = MemberGroups.from_assignment(
+                state.member_assignment, self.wrapper.model.ensemble_size)
+            if state.stack is not None:
+                groups = groups.padded(state.stack.members)
         pred_obs, pred_reward = self.wrapper.sample(
-            state.obs, actions, rng, sample=sample,
-            member_assignment=state.member_assignment, groups=state.groups,
+            state.obs, actions, rng, sample=sample, groups=groups,
             dtype=self.dtype, stack=state.stack)
-        active = ~state.done
-        next_obs = np.where(active[:, None], pred_obs, state.obs)
+        # finished particles are frozen: observation held, reward 0 (most
+        # steps have none, and then skip the masking)
+        done = state.done
+        frozen = done.any()
+        next_obs = (np.where(done[:, None], state.obs, pred_obs) if frozen
+                    else pred_obs)
         if self.reward_fn is not None:
             reward = self.reward_fn(actions, next_obs)
         else:
             reward = pred_reward
-        rewards = np.where(active, reward, 0.0)
-        dones = state.done | self.termination_fn(actions, next_obs)
+        rewards = (np.where(done, 0.0, reward) if frozen
+                   else np.asarray(reward, dtype=np.float64))
+        dones = done | self.termination_fn(actions, next_obs)
         new_state = ModelEnvState(next_obs, state.member_assignment, dones,
-                                  state.groups, state.stack)
+                                  state.stack, groups)
         return next_obs, rewards, dones, new_state
 
 

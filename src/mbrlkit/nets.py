@@ -60,10 +60,13 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def _relu_inplace(x: np.ndarray, work: np.ndarray | None = None
+def _relu_inplace(x: np.ndarray, zeros: np.ndarray | None = None
                   ) -> np.ndarray:
-    """ReLU of x in place; work is ignored (see BUFFERED_ACTIVATIONS)."""
-    return np.maximum(x, 0.0, out=x)
+    """ReLU of x in place, as the maximum of x and 0 or, when given, of x
+    and zeros, an array of x's shape and dtype holding 0 that is only
+    read: numpy's maximum runs about twice as fast against it as against a
+    scalar."""
+    return np.maximum(x, 0.0 if zeros is None else zeros, out=x)
 
 
 def relu_grad(x: np.ndarray) -> np.ndarray:
@@ -83,7 +86,9 @@ def _silu_buffered(x: np.ndarray, work: np.ndarray) -> np.ndarray:
 
 
 # activation name -> act(x, work): applies it to x in place, allocating
-# nothing, with work an array of x's shape and dtype that it may overwrite
+# nothing, with work an array of x's shape and dtype, zero-filled when it
+# was made and kept for the activation alone: SiLU overwrites it, ReLU
+# reads it as its zeros and so leaves it zero
 BUFFERED_ACTIVATIONS = {"silu": _silu_buffered, "relu": _relu_inplace}
 
 

@@ -149,54 +149,47 @@ def evaluate_action_sequences(model_env, initial_obs: np.ndarray,
 
     When the rollout draws no noise (`sample` off, or a deterministic
     model), particles of one sequence that share a member (all of them
-    under ensemble_mean) follow the same trajectory, and a finished particle
-    earns 0 from then on. Such a rollout steps each distinct particle once
-    and drops particles from the step after they finish; each particle's
-    return is then scattered back for the mean. The member draw in
-    `model_env.reset` is the same and no step draws from rng, so values and
-    the rng state match stepping every particle, with one caveat: OpenBLAS
-    may round a row in the last bit differently when it shares a matmul
-    with fewer rows, so predicted states, and a continuous return, can
-    differ in the last bit. Noisy rollouts step every particle, each with
-    its own noise.
+    under ensemble_mean) follow the same trajectory. Such a rollout steps
+    each distinct particle once: the same rows from the first step to the
+    last, a finished row frozen by `model_env.step` with reward 0, until
+    every row is done; each row's return is then scattered back to its
+    particles for the mean. The member draw in `model_env.reset` is the
+    same and no step draws from rng, so values and the rng state match
+    stepping every particle, with one caveat: OpenBLAS may round a row in
+    the last bit differently when it shares a matmul with fewer rows.
+    Every step of a rollout forwards the same rows, so only the count of
+    distinct rows decides it: when it is below the particle count,
+    predicted states, and a continuous return, can differ in the last
+    bit. Noisy rollouts step every particle, each with its own noise, for
+    the whole horizon.
     """
     sequences = np.asarray(sequences, dtype=np.float64)
     n, horizon, act_dim = sequences.shape
     initial_obs = np.asarray(initial_obs, dtype=np.float64).ravel()
     obs_tiled = np.repeat(initial_obs[None], n * particles, axis=0)
     state = model_env.reset(obs_tiled, rng)
-    model = model_env.wrapper.model
-    noisy = sample and not model.deterministic
+    noisy = sample and not model_env.wrapper.model.deterministic
     if noisy:
         # every particle draws its own noise: step them all, in order
-        first = inverse = np.arange(n * particles)
+        rows = inverse = np.arange(n * particles)
     else:
         key = np.repeat(np.arange(n), particles)
         if state.member_assignment is not None:
             # member-major keys: the distinct rows come out grouped by
             # member, each member's in candidate order
             key = state.member_assignment * n + key
-        _, first, inverse = np.unique(key, return_index=True,
-                                      return_inverse=True)
-        state = model_env.select(state, first)
-    actions = sequences[first // particles]  # (rows, h, A)
-    returns = np.zeros(first.size)
-    live = np.arange(first.size)
-    running = np.zeros(first.size)
+        _, rows, inverse = np.unique(key, return_index=True,
+                                     return_inverse=True)
+        state = model_env.select(state, rows)
+    actions = sequences.take(rows // particles, axis=0)  # (rows, h, A)
+    returns = np.zeros(rows.size)
     for t in range(horizon):
         _, rewards, dones, state = model_env.step(
             state, actions[:, t], rng, sample=sample)
-        running += rewards
-        if not noisy and dones.any():
-            returns[live[dones]] = running[dones]
-            keep = ~dones
-            live, running, actions = live[keep], running[keep], actions[keep]
-            if not live.size:
-                break
-            state = model_env.select(state, keep)
-    returns[live] = running
-    total = returns[inverse]
-    values = total.reshape(n, particles)
+        returns += rewards
+        if not noisy and dones.all():
+            break
+    values = returns[inverse].reshape(n, particles)
     bad = ~np.all(np.isfinite(values), axis=1)
     out = values.mean(axis=1)
     out[bad] = -np.inf

@@ -648,14 +648,21 @@ class TestGroupedSampling:
         state = menv.reset(np.zeros((40, 2)), np.random.default_rng(0))
         state = menv.select(state, np.argsort(state.member_assignment,
                                               kind="stable"))
-        assert state.groups.order is None
         keep = np.random.default_rng(1).random(40) < 0.5
         kept = menv.select(state, keep)
+        assert np.array_equal(kept.obs, state.obs[keep])
+        # an episode groups its particles at its first step, and keeps
+        # those groups from then on
+        assert kept.groups is None
+        actions = np.zeros((int(keep.sum()), 1))
+        rng = np.random.default_rng(2)
+        _, _, _, stepped = menv.step(kept, actions, rng)
         expected = MemberGroups.from_assignment(
             state.member_assignment[keep], 4)
-        assert kept.groups.order is None
-        assert np.array_equal(kept.groups.bounds, expected.bounds)
-        assert np.array_equal(kept.obs, state.obs[keep])
+        assert stepped.groups.order is None
+        assert np.array_equal(stepped.groups.bounds, expected.bounds)
+        _, _, _, again = menv.step(stepped, actions, rng)
+        assert again.groups is stepped.groups
 
     def test_bad_assignment_rejected(self):
         with pytest.raises(ValidationError):
@@ -931,6 +938,23 @@ class TestStackedForward:
                           np.random.default_rng(2))
         np.testing.assert_allclose(after, after64, rtol=F32_TOL,
                                    atol=4 * F32_TOL)
+
+    @pytest.mark.parametrize("activation", ["relu", "silu"])
+    def test_forward_independent_of_earlier_row_counts(self, activation):
+        # a stack's buffers outlive each forward, and are remade whenever
+        # the row count changes
+        model = GaussianMLPEnsemble(3, 2, ensemble_size=3, num_layers=4,
+                                    hid_size=5, activation=activation,
+                                    rng=np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        for b in model.layer_biases:  # each member its own
+            b[...] = rng.standard_normal(b.shape)
+        xs = [rng.standard_normal((3, m, 3)) for m in (4, 9, 2, 9, 4)]
+        kept = model.stack_members([0, 1, 2])
+        for x in xs:
+            fresh = model.stack_members([0, 1, 2])
+            assert np.array_equal(model.stacked_forward(x, kept),
+                                  model.stacked_forward(x, fresh))
 
     def test_stacks_are_views_of_the_arena(self):
         model = GaussianMLPEnsemble(3, 2, ensemble_size=3, num_layers=3,

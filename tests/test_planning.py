@@ -7,7 +7,7 @@ from mbrlkit import planning
 from mbrlkit.algorithms import PETSConfig, pets_run
 from mbrlkit.data import ValidationError
 from mbrlkit.envs import cartpole_reward, cartpole_termination, no_termination
-from mbrlkit.models import (GaussianMLPEnsemble, ModelEnv,
+from mbrlkit.models import (GaussianMLPEnsemble, MemberGroups, ModelEnv,
                             TransitionRewardWrapper)
 from mbrlkit.planning import (Agent, CEMConfig, RandomAgent,
                               TrajectoryOptimizerAgent, cem_optimize,
@@ -324,9 +324,18 @@ def count_sample_rows(wrapper):
     return rows
 
 
+# a fixed_model rollout in which some particles end before the horizon
+ENDING_ROLLOUT = {"ensemble_size": 5, "elites": [4, 0, 2, 3],
+                  "deterministic": True, "sample": False,
+                  "propagation": "fixed_model", "activation": "relu",
+                  "reward": "cartpole", "particles": 5, "n": 9, "horizon": 6,
+                  "seed": 11}
+
+
 class TestDistinctParticleRollouts:
-    """Noise-free rollouts step each distinct, unfinished particle once and
-    score like the full-row reference."""
+    """Noise-free rollouts step each distinct particle once, the same rows
+    at every step until every row is done (a finished row stays in the
+    batch, frozen), and score like the full-row reference."""
 
     @given(rollout_cases())
     @settings(max_examples=120)
@@ -346,18 +355,15 @@ class TestDistinctParticleRollouts:
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         # one row per distinct (candidate, member) key, or per candidate
-        # under ensemble_mean, among the particles not yet finished
+        # under ensemble_mean, at every step until every particle is done
         candidate = np.repeat(np.arange(case["n"]), p)
-        live_keys = []
-        for assignment, done in trace:
-            key = candidate
-            if assignment is not None:
-                key = candidate * case["ensemble_size"] + assignment
-            live = np.unique(key[~done]).size
-            if not live:
-                break
-            live_keys.append(live)
-        assert rows == live_keys
+        assignment, _ = trace[0]
+        key = candidate
+        if assignment is not None:
+            key = candidate * case["ensemble_size"] + assignment
+        steps = next((t for t, (_, done) in enumerate(trace) if done.all()),
+                     len(trace))
+        assert rows == [np.unique(key).size] * steps
 
     @given(rollout_cases(noisy=True))
     @settings(max_examples=40)
@@ -375,7 +381,7 @@ class TestDistinctParticleRollouts:
 
     def test_noise_free_rows_need_no_gather(self, monkeypatch):
         # the distinct rows are member-major, so every step's rows are
-        # already grouped by member, also after finished rows are dropped
+        # already grouped by member, also once some of them have finished
         orders = []
         real = GaussianMLPEnsemble.grouped_forward
 
@@ -384,17 +390,61 @@ class TestDistinctParticleRollouts:
             return real(model, x, groups)
 
         monkeypatch.setattr(GaussianMLPEnsemble, "grouped_forward", spy)
-        case = {"ensemble_size": 5, "elites": [4, 0, 2, 3],
-                "deterministic": True, "sample": False,
-                "propagation": "fixed_model", "activation": "relu",
-                "reward": "cartpole", "particles": 5, "n": 9, "horizon": 6,
-                "seed": 11}
-        menv, obs0, seqs = cartpole_model_rollout(case)
+        menv, obs0, seqs = cartpole_model_rollout(ENDING_ROLLOUT)
+        rows = count_sample_rows(menv.wrapper)
+        finished = []
+        real_step = menv.step
+
+        def step(state, *args, **kwargs):
+            finished.append(state.done.mean())
+            return real_step(state, *args, **kwargs)
+
+        menv.step = step
+        evaluate_action_sequences(menv, obs0, seqs, 5,
+                                  np.random.default_rng(7), sample=False)
+        assert 0.0 < max(finished) < 1.0  # some rows finished, not all
+        assert len(set(rows)) == 1  # and stayed in the batch
+        assert orders and all(order is None for order in orders)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_noise_free_rollout_groups_once(self, monkeypatch, dtype):
+        grouped = []
+        real = MemberGroups.from_assignment.__func__
+
+        def spy(cls, assignment, ensemble_size):
+            grouped.append(len(assignment))
+            return real(cls, assignment, ensemble_size)
+
+        monkeypatch.setattr(MemberGroups, "from_assignment",
+                            classmethod(spy))
+        menv, obs0, seqs = cartpole_model_rollout(ENDING_ROLLOUT)
+        menv = ModelEnv(menv.wrapper, menv.termination_fn, menv.reward_fn,
+                        dtype=dtype)
         rows = count_sample_rows(menv.wrapper)
         evaluate_action_sequences(menv, obs0, seqs, 5,
                                   np.random.default_rng(7), sample=False)
-        assert len(set(rows)) > 1  # some rows finished and were dropped
-        assert orders and all(order is None for order in orders)
+        assert len(rows) > 1
+        # the distinct rows, grouped by the rollout's first step only
+        assert grouped == rows[:1]
+
+    @pytest.mark.parametrize("propagation",
+                             TransitionRewardWrapper.PROPAGATION_METHODS)
+    def test_rollout_ends_when_every_row_is_done(self, propagation):
+        case = {"ensemble_size": 3, "elites": [0, 2], "deterministic": True,
+                "sample": False, "propagation": propagation,
+                "activation": "relu", "reward": "continuous", "particles": 4,
+                "n": 6, "horizon": 5, "seed": 3}
+        menv, obs0, seqs = cartpole_model_rollout(case)
+        menv.termination_fn = lambda actions, next_obs: np.ones(
+            len(next_obs), dtype=bool)
+        expected = full_row_evaluate(menv, obs0, seqs, 4,
+                                     np.random.default_rng(7), False)
+        rows = count_sample_rows(menv.wrapper)
+        got = evaluate_action_sequences(menv, obs0, seqs, 4,
+                                        np.random.default_rng(7),
+                                        sample=False)
+        assert len(rows) == 1
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
     def test_pets_run_artifacts_match_full_rows(self, tmp_path, monkeypatch):
         def run(out):
