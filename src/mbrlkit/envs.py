@@ -153,13 +153,21 @@ def no_termination(actions: np.ndarray, next_obs: np.ndarray) -> np.ndarray:
 
 
 def cartpole_termination(actions: np.ndarray, next_obs: np.ndarray) -> np.ndarray:
-    next_obs = np.atleast_2d(next_obs)
+    next_obs = np.asarray(next_obs)
+    if next_obs.ndim < 2:
+        next_obs = next_obs.reshape(1, -1)
     return ((np.abs(next_obs[:, 0]) > CartPoleContinuousEnv.X_LIMIT)
             | (np.abs(next_obs[:, 2]) > CartPoleContinuousEnv.THETA_LIMIT))
 
 
 def cartpole_reward(actions: np.ndarray, next_obs: np.ndarray) -> np.ndarray:
     return np.where(cartpole_termination(actions, next_obs), 0.0, 1.0)
+
+
+# cartpole_reward is 1 per step until cartpole_termination fires: a caller
+# that tests termination anyway (`ModelEnv.step`) takes this reward from
+# its done flags instead of testing a second time
+cartpole_reward.alive_until = cartpole_termination
 
 
 def pendulum_reward(actions: np.ndarray, next_obs: np.ndarray) -> np.ndarray:

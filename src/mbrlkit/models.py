@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +22,8 @@ from .data import (Normalizer, TransitionBatch, TransitionIterator,
                    ValidationError)
 from .fileio import replace_on_success
 from .nets import (BUFFERED_ACTIVATIONS, AdamState, DenseNet, layer_views,
-                   load_arrays, param_count, save_arrays, sigmoid, softplus)
+                   load_arrays, param_count, save_arrays, sigmoid, softplus,
+                   softplus_split)
 
 LOGVAR_BOUND_REG = 0.01
 MIN_LOGVAR_INIT = -10.0
@@ -138,23 +138,27 @@ class GaussianMLPEnsemble:
 
     # --- forward ------------------------------------------------------------
 
-    def _bound_logvar(self, raw: np.ndarray, grads: bool = False):
-        """Double-softplus soft bounds; returns (logvar, backward cache), the
-        cache being None unless grads is set."""
-        z2 = self.max_logvar - softplus(self.max_logvar - raw)
-        logvar = self.min_logvar + softplus(z2 - self.min_logvar)
+    def _bound_logvar(self, raw: np.ndarray, grads: bool = False,
+                      soft=softplus):
+        """Double-softplus soft bounds, float64 whatever raw's precision;
+        returns (logvar, backward cache), the cache being None unless grads
+        is set. soft is the softplus: `softplus` everywhere but on the
+        float32 planning path, which takes `softplus_split`."""
+        z2 = self.max_logvar - soft(self.max_logvar - raw)
+        logvar = self.min_logvar + soft(z2 - self.min_logvar)
         if not grads:
             return logvar, None
         sig_max = sigmoid(self.max_logvar - raw)
         sig_min = sigmoid(z2 - self.min_logvar)
         return logvar, (sig_max, sig_min)
 
-    def _heads(self, out: np.ndarray):
+    def _heads(self, out: np.ndarray, soft=softplus):
         """Splits raw outputs (..., head) into (mean, logvar), each
-        (..., out); logvar is None when deterministic."""
+        (..., out); the mean keeps out's precision, logvar (bounded with
+        soft) is float64, and None when deterministic."""
         if self.deterministic:
             return out, None
-        logvar, _ = self._bound_logvar(out[..., self.out_size:])
+        logvar, _ = self._bound_logvar(out[..., self.out_size:], soft=soft)
         return out[..., :self.out_size], logvar
 
     def member_forward(self, e: int, x: np.ndarray, cache: bool = False):
@@ -164,29 +168,40 @@ class GaussianMLPEnsemble:
         out = self.members[e].forward(x, cache=cache)
         return self._heads(out.astype(np.float64, copy=False))
 
-    def stack_members(self, members) -> MemberStack:
+    def stack_members(self, members,
+                      normalizer: Normalizer | None = None) -> MemberStack:
         """A float32 copy of the parameters of `members` (distinct
-        indices, in stack order), made now: later writes to `params` do
-        not reach it."""
+        indices, in stack order), made now: later writes to `params` or to
+        the normalizer do not reach it. With a normalizer the stack takes
+        raw inputs, as layer 0 folds it in: weights W / std and bias
+        b - (W / std) mean, computed in float64 and then cast."""
         members = tuple(int(e) for e in members)
-        if len(set(members)) != len(members) or any(
+        if not members or len(set(members)) != len(members) or any(
                 e < 0 or e >= self.ensemble_size for e in members):
             raise ValidationError(f"bad members to stack: {members}")
-        pick = list(members)
+        # consecutive members (all of them in the shipped configs) are a
+        # slice, so that the cast below is the only copy of each layer
+        lo, s = members[0], len(members)
+        pick = (slice(lo, lo + s) if members == tuple(range(lo, lo + s))
+                else list(members))
+        weights = [w[pick].transpose(0, 2, 1) for w in self.layer_weights]
+        biases = [b[pick] for b in self.layer_biases]
+        if normalizer is not None:
+            weights[0] = np.ascontiguousarray(weights[0])
+            weights[0] /= normalizer.std[:, None]
+            biases[0] = biases[0] - normalizer.mean @ weights[0]
         return MemberStack(
             members,
-            tuple(np.ascontiguousarray(w[pick].transpose(0, 2, 1),
-                                       STACK_DTYPE)
-                  for w in self.layer_weights),
-            tuple(b[pick, None].astype(STACK_DTYPE)
-                  for b in self.layer_biases))
+            tuple(np.ascontiguousarray(w, STACK_DTYPE) for w in weights),
+            tuple(b[:, None].astype(STACK_DTYPE) for b in biases))
 
     def stacked_forward(self, x: np.ndarray, stack: MemberStack):
         """Raw float32 outputs of the stacked members: x is
         (S, m, in), one block of rows per stacked member, or (B, in), the
-        same rows for every member; the output is (S, m, head) or (S, B,
-        head). Each layer is one matmul over the whole stack, one bias add
-        and one in-place activation."""
+        same rows for every member, normalized unless the stack folds a
+        normalizer in; the output is (S, m, head) or (S, B, head). Each
+        layer is one matmul over the whole stack, one bias add and one
+        in-place activation."""
         h = np.asarray(x, dtype=STACK_DTYPE)
         if h.ndim not in (2, 3) or h.shape[-1] != self.in_size:
             raise ValidationError(f"bad input shape {h.shape}")
@@ -206,14 +221,16 @@ class GaussianMLPEnsemble:
     def grouped_forward(self, x: np.ndarray, groups: MemberGroups,
                         stack: MemberStack | None = None):
         """Heads for x (P, in) where row p goes through the member that
-        `groups` assigns to it; the heads are float64.
+        `groups` assigns to it.
 
         Without a stack: one forward per non-empty member on a contiguous
         block, in x's precision (see `DenseNet.forward`), with a gather
         before and a scatter after unless the rows are already in member
-        order. With one: a single `stacked_forward` on the groups' padded
-        layout, which must be for the stack's members: one gather fills
-        each member's block, one gather reads every row back."""
+        order; the heads are float64. With one: a single `stacked_forward`
+        on the groups' padded layout, which must be for the stack's
+        members: one gather fills each member's block, one gather reads
+        every row back. The mean head then stays float32 and the
+        log-variance is bounded in float64 with `softplus_split`."""
         if stack is not None:
             if groups.stacked != stack.members:
                 raise ValidationError(
@@ -224,7 +241,7 @@ class GaussianMLPEnsemble:
                                           stack)
             out = blocks.reshape(-1, blocks.shape[-1]).take(groups.unpad,
                                                            axis=0)
-            return self._heads(out.astype(np.float64))
+            return self._heads(out, softplus_split)
         x_sorted = x if groups.order is None else x[groups.order]
         out_sorted = np.empty((x.shape[0], self.layer_sizes[-1]))
         bounds = groups.bounds.tolist()
@@ -359,10 +376,13 @@ class GaussianMLPEnsemble:
         return ((mean - target[None]) ** 2).mean(axis=1)
 
 
+_FORWARD_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 def _forward_dtype(dtype) -> np.dtype:
     """dtype as a model-forward precision: float32 or float64."""
     dtype = np.dtype(dtype)
-    if dtype not in (np.float32, np.float64):
+    if dtype not in _FORWARD_DTYPES:
         raise ValidationError(
             f"model forward dtype must be float32 or float64, got {dtype}")
     return dtype
@@ -374,10 +394,12 @@ class MemberStack:
 
     Per layer, weights[i] is (S, in, out), each stacked member's matrix
     transposed, and biases[i] is (S, 1, out); members are the S ensemble
-    indices, in stack order. The stack also keeps the buffers of the
-    forwards through it (`buffers`): a rollout makes one stack and steps
-    the same rows through it many times, so every step reuses the same
-    memory.
+    indices, in stack order. A stack made with a normalizer, as
+    `ModelEnv.reset` makes it, has that normalizer folded into layer 0 and
+    forwards raw (obs, action) rows. The stack also keeps the buffers of
+    the forwards through it (`buffers`): a rollout makes one stack and
+    steps the same rows through it many times, so every step reuses the
+    same memory.
     """
 
     def __init__(self, members: tuple, weights: tuple, biases: tuple):
@@ -389,16 +411,15 @@ class MemberStack:
     def buffers(self, rows: int):
         """(work, biases) for forwards of `rows` rows per member, made on
         the first call for that row count and then reused: work is three
-        zero-filled (S, rows, hidden) arrays, and biases[i] is layer i's
-        bias repeated over the rows, (S, rows, out), so that each bias add
-        runs over whole contiguous arrays."""
+        (S, rows, hidden) arrays, two for the layer outputs and a
+        zero-filled one for the activation, and biases[i] is layer i's bias
+        repeated over the rows, (S, rows, out), so that each bias add runs
+        over whole contiguous arrays."""
         if rows != self._rows:
-            s = len(self.members)
-            work = np.zeros((3, s, rows, self.biases[0].shape[-1]),
-                            STACK_DTYPE)
-            biases = tuple(
-                np.ascontiguousarray(np.broadcast_to(b, (s, rows, b.shape[-1])))
-                for b in self.biases)
+            shape = (len(self.members), rows, self.biases[0].shape[-1])
+            work = (np.empty(shape, STACK_DTYPE), np.empty(shape, STACK_DTYPE),
+                    np.zeros(shape, STACK_DTYPE))
+            biases = tuple(np.repeat(b, rows, axis=1) for b in self.biases)
             self._rows, self._buffers = rows, (work, biases)
         return self._buffers
 
@@ -412,19 +433,20 @@ class MemberGroups:
     None when the particles are already in member order, so that member e's
     are the rows bounds[e]:bounds[e + 1] themselves.
 
-    Groups with `stacked` members (`padded`: ascending ensemble indices
-    that hold every particle) also have a padded layout for a
-    `MemberStack` of those members, built on first use: each stacked
-    member gets a block of m slots, m being the largest member's particle
-    count. `gather` (S, m) is the particle in each slot: the member's
-    particles in ascending order, then copies of one live particle as
-    padding. `unpad` (P,) is each particle's slot in the flattened (S * m)
-    blocks.
+    Groups padded for `stacked` members (`padded`: ascending ensemble
+    indices that hold every particle) also carry the padded layout of a
+    `MemberStack` of those members: each stacked member gets a block of m
+    slots, m being the largest member's particle count. `gather` (S, m) is
+    the particle in each slot: the member's particles in ascending order,
+    then copies of a live particle as padding. `unpad` (P,) is each
+    particle's slot in the flattened (S * m) blocks.
     """
 
     order: np.ndarray | None  # (P,) stable argsort of the member assignment
     bounds: np.ndarray         # (E + 1,) slice bounds into order
-    stacked: tuple | None = None  # members of the padded layout
+    stacked: tuple | None = None       # members of the padded layout
+    gather: np.ndarray | None = None   # (S, m) particle in each slot
+    unpad: np.ndarray | None = None    # (P,) slot of each particle
 
     @classmethod
     def from_assignment(cls, assignment, ensemble_size: int) -> "MemberGroups":
@@ -440,54 +462,42 @@ class MemberGroups:
         bounds = np.zeros(ensemble_size + 1, dtype=np.intp)
         np.cumsum(counts, out=bounds[1:])
         order = None
-        if not np.all(assignment[:-1] <= assignment[1:]):
+        if (assignment[1:] < assignment[:-1]).any():
             order = np.argsort(assignment, kind="stable")
         return cls(order, bounds)
 
     def padded(self, stacked) -> "MemberGroups":
-        """These groups, padded for the members `stacked`."""
+        """These groups, with the padded layout for the members
+        `stacked`."""
         stacked = tuple(stacked)
-        if list(stacked) != sorted(set(stacked)) or stacked and not (
-                0 <= stacked[0] and stacked[-1] < self.bounds.size - 1):
+        bounds = self.bounds.tolist()
+        if not stacked or list(stacked) != sorted(set(stacked)) or not (
+                0 <= stacked[0] and stacked[-1] < len(bounds) - 1):
             raise ValidationError(
                 f"stacked members must be ascending ensemble indices, got "
                 f"{stacked}")
-        if np.diff(self.bounds)[list(stacked)].sum() != self.bounds[-1]:
+        starts = [bounds[e] for e in stacked]
+        counts = [bounds[e + 1] - bounds[e] for e in stacked]
+        p = bounds[-1]
+        if sum(counts) != p:
             raise ValidationError("a particle's member is not stacked")
-        return MemberGroups(self.order, self.bounds, stacked)
-
-    @property
-    def gather(self) -> np.ndarray:
-        return self._layout[0]
-
-    @property
-    def unpad(self) -> np.ndarray:
-        return self._layout[1]
-
-    @cached_property
-    def _layout(self):
-        if self.stacked is None:
-            raise ValidationError("these groups are not padded")
-        members = list(self.stacked)
-        starts = self.bounds[members]
-        counts = self.bounds[1:][members] - starts
-        p = int(self.bounds[-1])
-        m = int(counts.max()) if p else 0
-        rows = np.arange(p) if self.order is None else self.order
-        # slot of the k-th particle in member order: member s's j-th
-        # particle goes to s * m + j
-        slots = np.repeat(np.arange(len(members)) * m - starts, counts)
+        m = max(counts)
+        # slot j of member s's block holds its j-th particle in member
+        # order, and past its last one that last particle (a member with
+        # none repeats the one before it, or the first): a live row
+        last = [[max(a + c - 1, 0)] for a, c in zip(starts, counts)]
+        gather = np.minimum(np.add.outer(starts, np.arange(m)), last)
+        # and member order's k-th particle, member s's j-th, is in slot
+        # s * m + j
+        slots = np.array([s * m - a for s, a in enumerate(starts)]).repeat(
+            counts)
         slots += np.arange(p)
-        # padding repeats each member's first particle (another member's
-        # when it has none), so that every slot holds a live row
-        gather = np.repeat(rows[np.minimum(starts, p - 1)] if p
-                           else starts, m)
-        gather[slots] = rows
         unpad = slots
         if self.order is not None:
+            gather = self.order[gather]
             unpad = np.empty_like(slots)
             unpad[self.order] = slots
-        return gather.reshape(len(members), m), unpad
+        return MemberGroups(self.order, self.bounds, stacked, gather, unpad)
 
 
 class TransitionRewardWrapper:
@@ -548,9 +558,13 @@ class TransitionRewardWrapper:
         return self.model.eval_score(x, target)
 
     def _split_prediction(self, pred: np.ndarray, obs: np.ndarray):
+        """(next_obs, reward), float64 whatever pred's precision: a float32
+        delta goes straight onto the float64 observation."""
         delta = pred[:, :self.obs_dim]
-        next_obs = obs + delta if self.target_is_delta else delta
-        reward = pred[:, self.obs_dim] if self.learned_rewards else None
+        next_obs = (obs + delta if self.target_is_delta
+                    else delta.astype(np.float64, copy=False))
+        reward = (pred[:, self.obs_dim].astype(np.float64, copy=False)
+                  if self.learned_rewards else None)
         return next_obs, reward
 
     def sample(self, obs: np.ndarray, action: np.ndarray,
@@ -565,25 +579,37 @@ class TransitionRewardWrapper:
         built (as `ModelEnv` does once per rollout); with ensemble_mean,
         moments are averaged over the elites. The Gaussian noise draw is one
         (P, D) block so results do not depend on how particles are grouped
-        by member. The model forward runs in dtype (float32 or float64); its
-        outputs, the noise and the predictions are float64.
+        by member. The model forward runs in dtype (float32 or float64); the
+        noise and the predictions are float64.
 
-        A float64 forward runs member by member. A float32 one is one
-        `stacked_forward` over stack, the float32 weights of the members
-        that propagate (`ModelEnv` casts them once per rollout); without a
-        stack they are cast for this call: the elites under ensemble_mean,
-        the members with particles under fixed_model.
+        A float64 forward runs member by member on the normalized inputs. A
+        float32 one is one `stacked_forward` over stack, which must be the
+        elites' float32 weights with this wrapper's normalizer folded in
+        (`ModelEnv.reset` makes it once per rollout): the raw (obs, action)
+        rows go into one float32 array, and nothing is normalized.
         """
         obs = np.asarray(obs, dtype=np.float64)
         action = np.asarray(action, dtype=np.float64)
-        x = self.normalizer.normalize(np.concatenate([obs, action], axis=-1))
-        dtype = _forward_dtype(dtype)
-        x = x.astype(dtype, copy=False)
-        per_member = dtype == np.float64
-        if stack is not None and per_member:
-            raise ValidationError(
-                "stacked weights run a float32 forward, not a float64 one")
+        per_member = _forward_dtype(dtype) == np.float64
         model = self.model
+        if per_member:
+            if stack is not None:
+                raise ValidationError(
+                    "stacked weights run a float32 forward, not a float64 one")
+            x = self.normalizer.normalize(
+                np.concatenate([obs, action], axis=-1))
+        else:
+            if stack is None:
+                raise ValidationError(
+                    "a float32 forward runs through a MemberStack of the "
+                    "elites and this wrapper's normalizer")
+            if (obs.ndim != 2 or obs.shape[1] != self.obs_dim
+                    or action.shape != (len(obs), self.act_dim)):
+                raise ValidationError(
+                    f"bad obs and action shapes {obs.shape}, {action.shape}")
+            x = np.empty((len(obs), model.in_size), STACK_DTYPE)
+            x[:, :self.obs_dim] = obs
+            x[:, self.obs_dim:] = action
         p = x.shape[0]
         d = model.out_size
         if self.propagation == "fixed_model":
@@ -600,9 +626,6 @@ class TransitionRewardWrapper:
             if per_member:
                 mu, logvar = model.grouped_forward(x, groups)
             else:
-                if stack is None:
-                    stack = model.stack_members(
-                        np.flatnonzero(np.diff(groups.bounds)))
                 if groups.stacked != stack.members:
                     groups = groups.padded(stack.members)
                 mu, logvar = model.grouped_forward(x, groups, stack)
@@ -611,10 +634,9 @@ class TransitionRewardWrapper:
                 mean_all, lv_all = model.forward(x)
                 elites = model.elite_indices
             else:
-                if stack is None:
-                    stack = model.stack_members(sorted(model.elite_indices))
                 mean_all, lv_all = model._heads(
-                    model.stacked_forward(x, stack).astype(np.float64))
+                    model.stacked_forward(x, stack).astype(np.float64),
+                    softplus_split)
                 elites = slice(None)
             mu = mean_all[elites].mean(axis=0)
             logvar = None
@@ -740,12 +762,13 @@ class ModelEnvState:
     """Per-particle simulation state of a ModelEnv episode.
 
     A float32 ModelEnv's episode also carries `stack`, the float32 copy of
-    the elites' weights made at reset: every step of the episode forwards
-    through it, so weights written after the reset do not reach the
-    episode. `groups`, the member assignment grouped by member (padded
-    for the stack when there is one), is built by the episode's first step
-    and carried by every later one: an episode steps the same particles
-    from start to end, so it groups them once.
+    the elites' weights, with the normalizer folded in, made at reset:
+    every step of the episode forwards through it, so weights written and
+    normalizers refit after the reset do not reach the episode. `groups`,
+    the member assignment grouped by member (padded for the stack when
+    there is one), is built and checked by the episode's first step and
+    carried by every later one: an episode steps the same particles from
+    start to end, so it groups them once.
     """
 
     obs: np.ndarray                      # (P, S)
@@ -766,7 +789,13 @@ class ModelEnv:
     step; observations, rewards, noise and done flags are float64 either
     way. A float64 step forwards member by member. A float32 step is one
     stacked forward over the elites, whose weights `reset` casts once for
-    the whole episode.
+    the whole episode, folding the normalizer into the first layer: the
+    step feeds it the raw (obs, action) rows.
+
+    Each step tests termination once. A reward function that pays 1 per
+    step until the termination function fires (its `alive_until` is that
+    function, as for `envs.cartpole_reward`) is not called: its reward is
+    read off the done flags.
     """
 
     def __init__(self, wrapper: TransitionRewardWrapper, termination_fn,
@@ -788,7 +817,8 @@ class ModelEnv:
         model = self.wrapper.model
         stack = None
         if self.dtype != np.float64:
-            stack = model.stack_members(sorted(model.elite_indices))
+            stack = model.stack_members(sorted(model.elite_indices),
+                                        self.wrapper.normalizer)
         assignment = None
         if self.wrapper.propagation == "fixed_model":
             elites = np.asarray(model.elite_indices)
@@ -809,7 +839,9 @@ class ModelEnv:
 
     def step(self, state: ModelEnvState, actions: np.ndarray,
              rng: np.random.Generator, sample: bool = False):
-        actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
+        actions = np.asarray(actions, dtype=np.float64)
+        if actions.ndim < 2:
+            actions = actions.reshape(1, -1)
         if actions.shape != (state.obs.shape[0], self.wrapper.act_dim):
             raise ValidationError(
                 f"bad action shape {actions.shape}; expected "
@@ -829,13 +861,19 @@ class ModelEnv:
         frozen = done.any()
         next_obs = (np.where(done[:, None], state.obs, pred_obs) if frozen
                     else pred_obs)
-        if self.reward_fn is not None:
-            reward = self.reward_fn(actions, next_obs)
+        # checked at each step, as termination_fn may be replaced; a
+        # traced or spied test (functools.wraps) is still the same test
+        term = self.termination_fn
+        if getattr(self.reward_fn, "alive_until", None) in (
+                term, getattr(term, "__wrapped__", term)):
+            dones = done | term(actions, next_obs)
+            rewards = np.where(dones, 0.0, 1.0)
         else:
-            reward = pred_reward
-        rewards = (np.where(done, 0.0, reward) if frozen
-                   else np.asarray(reward, dtype=np.float64))
-        dones = done | self.termination_fn(actions, next_obs)
+            reward = (pred_reward if self.reward_fn is None
+                      else self.reward_fn(actions, next_obs))
+            rewards = (np.where(done, 0.0, reward) if frozen
+                       else np.asarray(reward, dtype=np.float64))
+            dones = done | term(actions, next_obs)
         new_state = ModelEnvState(next_obs, state.member_assignment, dones,
                                   state.stack, groups)
         return next_obs, rewards, dones, new_state

@@ -166,20 +166,28 @@ def evaluate_action_sequences(model_env, initial_obs: np.ndarray,
     sequences = np.asarray(sequences, dtype=np.float64)
     n, horizon, act_dim = sequences.shape
     initial_obs = np.asarray(initial_obs, dtype=np.float64).ravel()
-    obs_tiled = np.repeat(initial_obs[None], n * particles, axis=0)
-    state = model_env.reset(obs_tiled, rng)
+    state = model_env.reset(initial_obs[None].repeat(n * particles, axis=0),
+                            rng)
     noisy = sample and not model_env.wrapper.model.deterministic
     if noisy:
         # every particle draws its own noise: step them all, in order
         rows = inverse = np.arange(n * particles)
     else:
-        key = np.repeat(np.arange(n), particles)
+        key = np.arange(n).repeat(particles)
+        keys = n
         if state.member_assignment is not None:
             # member-major keys: the distinct rows come out grouped by
             # member, each member's in candidate order
-            key = state.member_assignment * n + key
-        _, rows, inverse = np.unique(key, return_index=True,
-                                     return_inverse=True)
+            key += state.member_assignment * n
+            keys *= model_env.wrapper.model.ensemble_size
+        present = np.zeros(keys, dtype=bool)
+        present[key] = True
+        # a particle of each distinct key, in key order, and each
+        # particle's rank among the distinct keys
+        particle = np.empty(keys, dtype=np.intp)
+        particle[key] = np.arange(key.size)
+        rows = particle[present]
+        inverse = (present.cumsum() - 1)[key]
         state = model_env.select(state, rows)
     actions = sequences.take(rows // particles, axis=0)  # (rows, h, A)
     returns = np.zeros(rows.size)
@@ -190,9 +198,10 @@ def evaluate_action_sequences(model_env, initial_obs: np.ndarray,
         if not noisy and dones.all():
             break
     values = returns[inverse].reshape(n, particles)
-    bad = ~np.all(np.isfinite(values), axis=1)
-    out = values.mean(axis=1)
-    out[bad] = -np.inf
+    out = values.sum(axis=1) / particles  # the particle mean
+    # a non-finite particle value makes its mean non-finite
+    if not np.isfinite(out).all():
+        out[~np.isfinite(values).all(axis=1)] = -np.inf
     return out
 
 

@@ -1,3 +1,4 @@
+import functools
 import tempfile
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from mbrlkit.models import (LOGVAR_BOUND_REG, GaussianMLPEnsemble,
                             MemberGroups, ModelEnv, ModelTrainer,
                             TransitionRewardWrapper, gaussian_nll_loss,
                             load_model, mse_loss, save_model)
+from mbrlkit import envs
 from mbrlkit.nets import AdamState, DenseNet, load_arrays, save_arrays
 from mbrlkit.envs import no_termination
 
@@ -120,6 +122,20 @@ class TestEnsembleForward:
         _, logvar = m.forward(np.random.default_rng(0).standard_normal((50, 2)))
         assert np.all(logvar <= m.max_logvar + 1e-9)
         assert np.all(logvar >= m.min_logvar - 1e-9)
+
+
+class TestLogVarianceBounds:
+    def test_default_bounds_use_logaddexp_softplus(self):
+        # training, scoring and float64 planning bound with nets.softplus
+        m = GaussianMLPEnsemble(3, 2, ensemble_size=1, num_layers=2,
+                                hid_size=4, rng=np.random.default_rng(0))
+        m.min_logvar[...] = [-3.0, -1.5]
+        m.max_logvar[...] = [0.5, 1.0]
+        raw = np.random.default_rng(1).standard_normal((50, 2)) * 4.0
+        z2 = m.max_logvar - np.logaddexp(0.0, m.max_logvar - raw)
+        expected = m.min_logvar + np.logaddexp(0.0, z2 - m.min_logvar)
+        assert np.array_equal(m._bound_logvar(raw)[0], expected)
+        assert np.array_equal(m._bound_logvar(raw, grads=True)[0], expected)
 
 
 class TestEnsembleMean:
@@ -510,6 +526,62 @@ class TestModelEnv:
         assert r2[0] == 0.0 and r2[1] != 0.0
         assert d2[0]
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_cartpole_termination_runs_once_per_step(self, monkeypatch,
+                                                     dtype):
+        rng = np.random.default_rng(4)
+        model = GaussianMLPEnsemble(5, 4, ensemble_size=3, num_layers=2,
+                                    hid_size=8, deterministic=True, rng=rng)
+        for member in model.members:
+            member.weights[-1][...] *= 3.0
+        w = TransitionRewardWrapper(model, 4, 1)
+        w.normalizer.fit(rng.standard_normal((30, 5)))
+        obs0 = rng.uniform(-0.1, 0.1, (8, 4))
+        obs0[:, 0] = np.linspace(-2.45, 2.45, 8)
+        actions = rng.uniform(-1.0, 1.0, (5, 8, 1))
+
+        def rollout(menv):
+            state = menv.reset(obs0, np.random.default_rng(5))
+            steps = []
+            for t in range(len(actions)):
+                obs, rewards, dones, state = menv.step(
+                    state, actions[t], np.random.default_rng(6))
+                steps.append((obs, rewards, dones))
+            return steps
+
+        # reference: the reward called as a plain function of next_obs
+        expected = rollout(ModelEnv(
+            w, envs.cartpole_termination,
+            lambda a, o: envs.cartpole_reward(a, o), dtype=dtype))
+        calls = []
+        real = envs.cartpole_termination
+
+        @functools.wraps(real)
+        def spy(actions, next_obs):
+            calls.append(len(next_obs))
+            return real(actions, next_obs)
+
+        # every mbrlkit caller of the termination test reaches the spy
+        monkeypatch.setattr(envs, "cartpole_termination", spy)
+        monkeypatch.setitem(envs.TERMINATION_FNS, "cartpole", spy)
+        _, term_fn, reward_fn = envs.make_env("cartpole_continuous")
+        menv = ModelEnv(w, term_fn, reward_fn, dtype=dtype)
+        got = rollout(menv)
+        assert calls == [8] * len(actions)
+        for step, ref in zip(got, expected):
+            for a, b in zip(step, ref):
+                assert np.array_equal(a, b)
+        dones = got[-1][2]
+        assert 0 < dones.sum() < len(dones)  # some particles ended
+        # under another termination test the reward is the function's own
+        menv.termination_fn = no_termination
+        obs, rewards, dones, _ = menv.step(
+            menv.reset(obs0, np.random.default_rng(5)), actions[0],
+            np.random.default_rng(6))
+        assert not dones.any() and (rewards == 0.0).any()
+        assert np.array_equal(rewards, np.where(real(actions[0], obs),
+                                                0.0, 1.0))
+
 
 def per_member_reference(wrapper, obs, act, assignment, rng, sample):
     """Member m forwards the rows assigned to it, in ascending particle
@@ -687,8 +759,11 @@ F32_TOL = 100 * np.finfo(np.float32).eps
 @st.composite
 def precision_cases(draw):
     """A small ensemble (an elite subset of E members), a propagation
-    method, an activation, deterministic or probabilistic heads, and a
-    rollout of P particles over h steps."""
+    method, an activation, deterministic or probabilistic heads, a
+    rollout of P particles over h steps, and per input column an offset of
+    the normalizer's mean from the inputs, of up to 10 standard
+    deviations (a float32 stack folds the normalizer into its first
+    layer, and a large offset makes that fold cancel)."""
     e = draw(st.integers(min_value=1, max_value=5))
     return {
         "ensemble_size": e,
@@ -701,6 +776,8 @@ def precision_cases(draw):
         "particles": draw(st.integers(min_value=1, max_value=40)),
         "horizon": draw(st.integers(min_value=1, max_value=6)),
         "seed": draw(st.integers(min_value=0, max_value=2 ** 16)),
+        "offset": draw(st.lists(st.floats(min_value=-10.0, max_value=10.0),
+                                min_size=5, max_size=5)),
     }
 
 
@@ -713,6 +790,7 @@ def precision_env(case, dtype):
     model.set_elite(case["elites"])
     w = TransitionRewardWrapper(model, 4, 1, propagation=case["propagation"])
     w.normalizer.fit(rng.standard_normal((30, 5)))
+    w.normalizer.mean += np.asarray(case.get("offset", 0.0)) * w.normalizer.std
     menv = ModelEnv(w, no_termination,
                     reward_fn=lambda a, o: o.sum(axis=1) + 1.0, dtype=dtype)
     p, h = case["particles"], case["horizon"]
@@ -853,15 +931,16 @@ class TestStackedForward:
         w = menv.wrapper
         model = w.model
         assignment = case["assignment"]
-        stack = model.stack_members(sorted(case["elites"]))
+        stack = model.stack_members(sorted(case["elites"]), w.normalizer)
         groups = MemberGroups.from_assignment(
             assignment, case["ensemble_size"]).padded(stack.members)
         ref_rng = np.random.default_rng(1)
         expected = per_member_f32_reference(w, obs, actions[0], assignment,
                                             ref_rng, case["sample"])
-        # with the rollout's stack and groups, and with neither
+        # with the rollout's stack and groups, and with the stack and the
+        # assignment, grouped and padded by the call
         for kwargs in ({"groups": groups, "stack": stack},
-                       {"member_assignment": assignment}):
+                       {"member_assignment": assignment, "stack": stack}):
             rng = np.random.default_rng(1)
             got, _ = w.sample(obs, actions[0], rng, sample=case["sample"],
                               dtype=np.float32, **kwargs)
@@ -923,13 +1002,16 @@ class TestStackedForward:
         model = menv.wrapper.model
         before = rollout(menv, menv.reset(obs0, np.random.default_rng(1)),
                          np.random.default_rng(2))
-        # a rollout reset before a write runs on the weights of its reset
+        # a rollout reset before a write or a normalizer refit runs on the
+        # weights and the normalizer of its reset
         state = menv.reset(obs0, np.random.default_rng(1))
         for member in model.members:
             member.biases[-1][...] += 0.5
+        menv.wrapper.normalizer.fit(
+            np.random.default_rng(3).standard_normal((30, 5)) * 2.0 + 1.0)
         assert np.array_equal(rollout(menv, state, np.random.default_rng(2)),
                               before)
-        # a rollout reset after the write sees it, as the float64 one does
+        # a rollout reset after them sees both, as the float64 one does
         after = rollout(menv, menv.reset(obs0, np.random.default_rng(1)),
                         np.random.default_rng(2))
         assert not np.allclose(after, before)
@@ -996,6 +1078,15 @@ class TestStackedForward:
         with pytest.raises(ValidationError):  # stacks run float32 only
             w.sample(obs, act, np.random.default_rng(0), groups=groups,
                      stack=model.stack_members([0, 1, 2]))
+        with pytest.raises(ValidationError):  # float32 runs through a stack
+            w.sample(obs, act, np.random.default_rng(0), groups=groups,
+                     dtype=np.float32)
+        stack = model.stack_members([0, 1, 2], w.normalizer)
+        for bad_obs, bad_act in ((np.zeros((3, 3)), act),
+                                 (obs, np.zeros((1, 1)))):
+            with pytest.raises(ValidationError):  # rows of the wrong shape
+                w.sample(bad_obs, bad_act, np.random.default_rng(0),
+                         groups=groups, dtype=np.float32, stack=stack)
 
 
 class TestCheckpoint:
