@@ -153,9 +153,7 @@ def no_termination(actions: np.ndarray, next_obs: np.ndarray) -> np.ndarray:
 
 
 def cartpole_termination(actions: np.ndarray, next_obs: np.ndarray) -> np.ndarray:
-    next_obs = np.asarray(next_obs)
-    if next_obs.ndim < 2:
-        next_obs = next_obs.reshape(1, -1)
+    next_obs = np.atleast_2d(next_obs)
     return ((np.abs(next_obs[:, 0]) > CartPoleContinuousEnv.X_LIMIT)
             | (np.abs(next_obs[:, 2]) > CartPoleContinuousEnv.THETA_LIMIT))
 

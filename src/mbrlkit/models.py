@@ -179,16 +179,14 @@ class GaussianMLPEnsemble:
         if not members or len(set(members)) != len(members) or any(
                 e < 0 or e >= self.ensemble_size for e in members):
             raise ValidationError(f"bad members to stack: {members}")
-        # consecutive members (all of them in the shipped configs) are a
-        # slice, so that the cast below is the only copy of each layer
-        lo, s = members[0], len(members)
-        pick = (slice(lo, lo + s) if members == tuple(range(lo, lo + s))
-                else list(members))
+        pick = list(members)
         weights = [w[pick].transpose(0, 2, 1) for w in self.layer_weights]
         biases = [b[pick] for b in self.layer_biases]
         if normalizer is not None:
-            weights[0] = np.ascontiguousarray(weights[0])
-            weights[0] /= normalizer.std[:, None]
+            # out of place, on a C-contiguous copy: how `mean @ W` rounds
+            # depends on W's layout
+            weights[0] = (np.ascontiguousarray(weights[0])
+                          / normalizer.std[:, None])
             biases[0] = biases[0] - normalizer.mean @ weights[0]
         return MemberStack(
             members,
@@ -376,13 +374,10 @@ class GaussianMLPEnsemble:
         return ((mean - target[None]) ** 2).mean(axis=1)
 
 
-_FORWARD_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-
-
 def _forward_dtype(dtype) -> np.dtype:
     """dtype as a model-forward precision: float32 or float64."""
     dtype = np.dtype(dtype)
-    if dtype not in _FORWARD_DTYPES:
+    if dtype not in (np.float32, np.float64):
         raise ValidationError(
             f"model forward dtype must be float32 or float64, got {dtype}")
     return dtype
@@ -462,7 +457,7 @@ class MemberGroups:
         bounds = np.zeros(ensemble_size + 1, dtype=np.intp)
         np.cumsum(counts, out=bounds[1:])
         order = None
-        if (assignment[1:] < assignment[:-1]).any():
+        if not np.all(assignment[:-1] <= assignment[1:]):
             order = np.argsort(assignment, kind="stable")
         return cls(order, bounds)
 
@@ -795,7 +790,10 @@ class ModelEnv:
     Each step tests termination once. A reward function that pays 1 per
     step until the termination function fires (its `alive_until` is that
     function, as for `envs.cartpole_reward`) is not called: its reward is
-    read off the done flags.
+    read off the done flags. This is decided at construction, from the
+    functions given; a wrapper of such a reward (one with `__wrapped__`,
+    as `functools.wraps` makes, which also copies `alive_until`) may change
+    the reward, so it is called.
     """
 
     def __init__(self, wrapper: TransitionRewardWrapper, termination_fn,
@@ -806,6 +804,9 @@ class ModelEnv:
         self.wrapper = wrapper
         self.termination_fn = termination_fn
         self.reward_fn = reward_fn
+        self._alive_reward = (
+            getattr(reward_fn, "alive_until", None) is termination_fn
+            and not hasattr(reward_fn, "__wrapped__"))
         self.dtype = _forward_dtype(dtype)
 
     def reset(self, initial_obs: np.ndarray,
@@ -839,9 +840,7 @@ class ModelEnv:
 
     def step(self, state: ModelEnvState, actions: np.ndarray,
              rng: np.random.Generator, sample: bool = False):
-        actions = np.asarray(actions, dtype=np.float64)
-        if actions.ndim < 2:
-            actions = actions.reshape(1, -1)
+        actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
         if actions.shape != (state.obs.shape[0], self.wrapper.act_dim):
             raise ValidationError(
                 f"bad action shape {actions.shape}; expected "
@@ -861,19 +860,15 @@ class ModelEnv:
         frozen = done.any()
         next_obs = (np.where(done[:, None], state.obs, pred_obs) if frozen
                     else pred_obs)
-        # checked at each step, as termination_fn may be replaced; a
-        # traced or spied test (functools.wraps) is still the same test
-        term = self.termination_fn
-        if getattr(self.reward_fn, "alive_until", None) in (
-                term, getattr(term, "__wrapped__", term)):
-            dones = done | term(actions, next_obs)
+        if self._alive_reward:
+            dones = done | self.termination_fn(actions, next_obs)
             rewards = np.where(dones, 0.0, 1.0)
         else:
             reward = (pred_reward if self.reward_fn is None
                       else self.reward_fn(actions, next_obs))
             rewards = (np.where(done, 0.0, reward) if frozen
                        else np.asarray(reward, dtype=np.float64))
-            dones = done | term(actions, next_obs)
+            dones = done | self.termination_fn(actions, next_obs)
         new_state = ModelEnvState(next_obs, state.member_assignment, dones,
                                   state.stack, groups)
         return next_obs, rewards, dones, new_state

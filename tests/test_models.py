@@ -556,31 +556,44 @@ class TestModelEnv:
         calls = []
         real = envs.cartpole_termination
 
-        @functools.wraps(real)
         def spy(actions, next_obs):
             calls.append(len(next_obs))
             return real(actions, next_obs)
 
-        # every mbrlkit caller of the termination test reaches the spy
+        # cartpole_reward tests termination through the module's name, and
+        # a copy of it is the reward of a spied termination test
         monkeypatch.setattr(envs, "cartpole_termination", spy)
-        monkeypatch.setitem(envs.TERMINATION_FNS, "cartpole", spy)
-        _, term_fn, reward_fn = envs.make_env("cartpole_continuous")
-        menv = ModelEnv(w, term_fn, reward_fn, dtype=dtype)
-        got = rollout(menv)
+        reward_fn = functools.partial(envs.cartpole_reward)
+        reward_fn.alive_until = spy
+        got = rollout(ModelEnv(w, spy, reward_fn, dtype=dtype))
         assert calls == [8] * len(actions)
         for step, ref in zip(got, expected):
             for a, b in zip(step, ref):
                 assert np.array_equal(a, b)
         dones = got[-1][2]
         assert 0 < dones.sum() < len(dones)  # some particles ended
+        monkeypatch.undo()
+
+        def first_step(menv):
+            return menv.step(menv.reset(obs0, np.random.default_rng(5)),
+                             actions[0], np.random.default_rng(6))
+
         # under another termination test the reward is the function's own
-        menv.termination_fn = no_termination
-        obs, rewards, dones, _ = menv.step(
-            menv.reset(obs0, np.random.default_rng(5)), actions[0],
-            np.random.default_rng(6))
+        obs, rewards, dones, _ = first_step(
+            ModelEnv(w, no_termination, envs.cartpole_reward, dtype=dtype))
         assert not dones.any() and (rewards == 0.0).any()
         assert np.array_equal(rewards, np.where(real(actions[0], obs),
                                                 0.0, 1.0))
+
+        # a wrapper of the reward (which inherits alive_until) is called
+        @functools.wraps(envs.cartpole_reward)
+        def shaped(actions, next_obs):
+            return 2.0 * envs.cartpole_reward(actions, next_obs) - 0.5
+
+        obs, rewards, _, _ = first_step(
+            ModelEnv(w, envs.cartpole_termination, shaped, dtype=dtype))
+        assert np.array_equal(rewards, np.where(real(actions[0], obs),
+                                                -0.5, 1.5))
 
 
 def per_member_reference(wrapper, obs, act, assignment, rng, sample):
@@ -1037,6 +1050,24 @@ class TestStackedForward:
             fresh = model.stack_members([0, 1, 2])
             assert np.array_equal(model.stacked_forward(x, kept),
                                   model.stacked_forward(x, fresh))
+
+    @pytest.mark.parametrize("members", [[0], [1], [0, 1]])
+    def test_folding_leaves_the_parameters_alone(self, members):
+        # with one output per member, a member's layer 0 picked out of the
+        # arena could already be a contiguous (1, in, 1) array
+        model = GaussianMLPEnsemble(5, 4, ensemble_size=2, num_layers=2,
+                                    hid_size=1, rng=np.random.default_rng(0))
+        model.set_elite(members)
+        w = TransitionRewardWrapper(model, 4, 1)
+        w.normalizer.fit(
+            np.random.default_rng(1).standard_normal((30, 5)) * 3.0 + 1.0)
+        params = model.params.copy()
+        menv = ModelEnv(w, no_termination, reward_fn=lambda a, o: o[:, 0],
+                        dtype=np.float32)
+        for _ in range(2):
+            menv.step(menv.reset(np.zeros((3, 4)), np.random.default_rng(2)),
+                      np.zeros((3, 1)), np.random.default_rng(3))
+        assert model.params.tobytes() == params.tobytes()
 
     def test_stacks_are_views_of_the_arena(self):
         model = GaussianMLPEnsemble(3, 2, ensemble_size=3, num_layers=3,
