@@ -67,6 +67,8 @@ class PETSConfig:
         message starts with the name of the field it rejects."""
         if self.model_retrain_interval < 1:
             raise ValidationError("model_retrain_interval must be >= 1")
+        if self.buffer_capacity is not None and self.buffer_capacity < 1:
+            raise ValidationError("buffer_capacity must be >= 1")
         if self.initial_exploration_steps < 0:
             raise ValidationError("initial_exploration_steps must be >= 0")
         if self.initial_exploration_steps == 0 and self.retrain_at_trial_start:

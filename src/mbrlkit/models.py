@@ -161,12 +161,10 @@ class GaussianMLPEnsemble:
         logvar, _ = self._bound_logvar(out[..., self.out_size:], soft=soft)
         return out[..., :self.out_size], logvar
 
-    def member_forward(self, e: int, x: np.ndarray, cache: bool = False):
-        """Member e's heads for x (B, in): (mean, logvar), each (B, out) and
-        float64 whatever precision the member forward ran in; logvar is None
-        when deterministic."""
-        out = self.members[e].forward(x, cache=cache)
-        return self._heads(out.astype(np.float64, copy=False))
+    def member_forward(self, e: int, x: np.ndarray):
+        """Member e's float64 heads for x (B, in): (mean, logvar), each
+        (B, out); logvar is None when deterministic."""
+        return self._heads(self.members[e].forward(x))
 
     def stack_members(self, members,
                       normalizer: Normalizer | None = None) -> MemberStack:
@@ -221,44 +219,36 @@ class GaussianMLPEnsemble:
         """Heads for x (P, in) where row p goes through the member that
         `groups` assigns to it.
 
-        Without a stack: one forward per non-empty member on a contiguous
-        block, in x's precision (see `DenseNet.forward`), with a gather
-        before and a scatter after unless the rows are already in member
-        order; the heads are float64. With one: a single `stacked_forward`
-        on the groups' padded layout, which must be for the stack's
-        members: one gather fills each member's block, one gather reads
-        every row back. The mean head then stays float32 and the
-        log-variance is bounded in float64 with `softplus_split`."""
+        One gather fills each member's block of rows. With a stack, which
+        must be for the groups' members, the blocks go through one float32
+        `stacked_forward`, the mean head stays float32 and the log-variance
+        is bounded in float64 with `softplus_split`. Without one, each
+        member's float64 forward runs on its own rows of its block. One
+        gather then reads every row back; the log-variance is float64."""
+        # take, not fancy indexing: the same rows, fewer microseconds
+        blocks = x.take(groups.gather, axis=0)
         if stack is not None:
-            if groups.stacked != stack.members:
+            if groups.members != stack.members:
                 raise ValidationError(
-                    f"groups padded for members {groups.stacked}, weights "
-                    f"stacked for {stack.members}")
-            # take, not fancy indexing: the same rows, fewer microseconds
-            blocks = self.stacked_forward(x.take(groups.gather, axis=0),
-                                          stack)
-            out = blocks.reshape(-1, blocks.shape[-1]).take(groups.unpad,
-                                                           axis=0)
-            return self._heads(out, softplus_split)
-        x_sorted = x if groups.order is None else x[groups.order]
-        out_sorted = np.empty((x.shape[0], self.layer_sizes[-1]))
-        bounds = groups.bounds.tolist()
-        for e in range(self.ensemble_size):
-            lo, hi = bounds[e], bounds[e + 1]
-            if hi > lo:
-                out_sorted[lo:hi] = self.members[e].forward(x_sorted[lo:hi])
-        if groups.order is None:
-            return self._heads(out_sorted)
-        out = np.empty_like(out_sorted)
-        out[groups.order] = out_sorted
-        return self._heads(out)
+                    f"groups for members {groups.members}, weights stacked "
+                    f"for {stack.members}")
+            out = self.stacked_forward(blocks, stack)
+            soft = softplus_split
+        else:
+            out = np.empty(blocks.shape[:2] + (self.layer_sizes[-1],))
+            for s, (e, c) in enumerate(zip(groups.members, groups.counts)):
+                if c:
+                    out[s, :c] = self.members[e].forward(blocks[s, :c])
+            soft = softplus
+        out = out.reshape(-1, out.shape[-1]).take(groups.unpad, axis=0)
+        return self._heads(out, soft)
 
-    def forward(self, x: np.ndarray, cache: bool = False):
+    def forward(self, x: np.ndarray):
         """Per-member heads.
 
-        x is (B, in) (broadcast to all members) or (E, B, in); a float32 x
-        is forwarded in float32 unless cache is set. Returns float64 (mean,
-        logvar) with shapes (E, B, out); logvar is None when deterministic.
+        x is (B, in) (broadcast to all members) or (E, B, in). Returns
+        float64 (mean, logvar) with shapes (E, B, out); logvar is None when
+        deterministic.
         """
         x = np.asarray(x)
         if x.ndim == 2:
@@ -267,7 +257,7 @@ class GaussianMLPEnsemble:
             xs = [x[e] for e in range(self.ensemble_size)]
         else:
             raise ValidationError(f"bad input shape {x.shape}")
-        means, logvars = zip(*(self.member_forward(e, xe, cache)
+        means, logvars = zip(*(self.member_forward(e, xe)
                                for e, xe in enumerate(xs)))
         return np.stack(means), (None if self.deterministic
                                  else np.stack(logvars))
@@ -314,14 +304,6 @@ class GaussianMLPEnsemble:
             upstream, out=self._member_grads[e])
         grads = [g for pair in zip(w_grads, b_grads) for g in pair]
         return loss, grads, d_min, d_max
-
-    def loss(self, x: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """Per-member mean-per-batch losses without updating parameters."""
-        x, target = self._per_member_views(x, target)
-        losses = np.empty(self.ensemble_size)
-        for e in range(self.ensemble_size):
-            losses[e], _, _, _ = self.member_loss_and_grads(e, x[e], target[e])
-        return losses
 
     def _per_member_views(self, x, target):
         x = np.asarray(x, dtype=np.float64)
@@ -374,15 +356,6 @@ class GaussianMLPEnsemble:
         return ((mean - target[None]) ** 2).mean(axis=1)
 
 
-def _forward_dtype(dtype) -> np.dtype:
-    """dtype as a model-forward precision: float32 or float64."""
-    dtype = np.dtype(dtype)
-    if dtype not in (np.float32, np.float64):
-        raise ValidationError(
-            f"model forward dtype must be float32 or float64, got {dtype}")
-    return dtype
-
-
 class MemberStack:
     """A float32 copy of some ensemble members' parameters for one batched
     forward (`GaussianMLPEnsemble.stack_members`).
@@ -421,78 +394,61 @@ class MemberStack:
 
 @dataclass(frozen=True)
 class MemberGroups:
-    """Particles grouped by ensemble member.
+    """Particles grouped by ensemble member, in one block per member.
 
-    Member e propagates particles order[bounds[e]:bounds[e + 1]], in
-    ascending particle index; bounds has ensemble_size + 1 entries. order is
-    None when the particles are already in member order, so that member e's
-    are the rows bounds[e]:bounds[e + 1] themselves.
-
-    Groups padded for `stacked` members (`padded`: ascending ensemble
-    indices that hold every particle) also carry the padded layout of a
-    `MemberStack` of those members: each stacked member gets a block of m
-    slots, m being the largest member's particle count. `gather` (S, m) is
-    the particle in each slot: the member's particles in ascending order,
-    then copies of a live particle as padding. `unpad` (P,) is each
-    particle's slot in the flattened (S * m) blocks.
+    `members` are ascending ensemble indices that hold every particle, and
+    member members[s] holds counts[s] of them. Each member gets a block of
+    m slots, m being the largest count. `gather` (S, m) is the particle in
+    each slot: the member's particles in ascending order, then copies of a
+    live particle as padding. `unpad` (P,) is each particle's slot in the
+    flattened (S * m) blocks. A forward gathers the blocks, runs each
+    member on its block and reads every particle's row back from its slot.
     """
 
-    order: np.ndarray | None  # (P,) stable argsort of the member assignment
-    bounds: np.ndarray         # (E + 1,) slice bounds into order
-    stacked: tuple | None = None       # members of the padded layout
-    gather: np.ndarray | None = None   # (S, m) particle in each slot
-    unpad: np.ndarray | None = None    # (P,) slot of each particle
+    members: tuple        # (S,) ascending ensemble indices
+    counts: tuple         # (S,) particles of each member
+    gather: np.ndarray    # (S, m) particle in each slot
+    unpad: np.ndarray     # (P,) slot of each particle
 
     @classmethod
-    def from_assignment(cls, assignment, ensemble_size: int) -> "MemberGroups":
+    def from_assignment(cls, assignment, members) -> "MemberGroups":
+        """The groups over `members` of assignment (P,), each particle's
+        ensemble member."""
         assignment = np.asarray(assignment)
         if assignment.ndim != 1 or assignment.dtype.kind not in "iu":
             raise ValidationError("member assignment must be a 1-d int array")
+        members = tuple(members)
+        if not members or list(members) != sorted(set(members)) or \
+                members[0] < 0:
+            raise ValidationError(
+                f"members must be ascending ensemble indices, got {members}")
+        p = assignment.size
         try:
-            counts = np.bincount(assignment, minlength=ensemble_size)
+            counts = np.bincount(assignment, minlength=members[-1] + 1)[
+                list(members)]
         except ValueError:  # a negative index
             counts = None
-        if counts is None or counts.size > ensemble_size:
-            raise ValidationError("member index out of range")
-        bounds = np.zeros(ensemble_size + 1, dtype=np.intp)
-        np.cumsum(counts, out=bounds[1:])
-        order = None
-        if not np.all(assignment[:-1] <= assignment[1:]):
-            order = np.argsort(assignment, kind="stable")
-        return cls(order, bounds)
-
-    def padded(self, stacked) -> "MemberGroups":
-        """These groups, with the padded layout for the members
-        `stacked`."""
-        stacked = tuple(stacked)
-        bounds = self.bounds.tolist()
-        if not stacked or list(stacked) != sorted(set(stacked)) or not (
-                0 <= stacked[0] and stacked[-1] < len(bounds) - 1):
+        if counts is None or counts.sum() != p:
             raise ValidationError(
-                f"stacked members must be ascending ensemble indices, got "
-                f"{stacked}")
-        starts = [bounds[e] for e in stacked]
-        counts = [bounds[e + 1] - bounds[e] for e in stacked]
-        p = bounds[-1]
-        if sum(counts) != p:
-            raise ValidationError("a particle's member is not stacked")
-        m = max(counts)
+                f"a particle's member is not one of {members}")
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        m = counts.max()
         # slot j of member s's block holds its j-th particle in member
         # order, and past its last one that last particle (a member with
         # none repeats the one before it, or the first): a live row
-        last = [[max(a + c - 1, 0)] for a, c in zip(starts, counts)]
-        gather = np.minimum(np.add.outer(starts, np.arange(m)), last)
+        gather = np.minimum(np.add.outer(starts, np.arange(m)),
+                            np.maximum(ends - 1, 0)[:, None])
         # and member order's k-th particle, member s's j-th, is in slot
         # s * m + j
-        slots = np.array([s * m - a for s, a in enumerate(starts)]).repeat(
-            counts)
-        slots += np.arange(p)
-        unpad = slots
-        if self.order is not None:
-            gather = self.order[gather]
-            unpad = np.empty_like(slots)
-            unpad[self.order] = slots
-        return MemberGroups(self.order, self.bounds, stacked, gather, unpad)
+        unpad = (np.arange(len(members)) * m - starts).repeat(counts)
+        unpad += np.arange(p)
+        if not np.all(assignment[:-1] <= assignment[1:]):
+            order = np.argsort(assignment, kind="stable")
+            gather = order[gather]
+            slots, unpad = unpad, np.empty_like(unpad)
+            unpad[order] = slots
+        return cls(members, tuple(counts.tolist()), gather, unpad)
 
 
 class TransitionRewardWrapper:
@@ -544,10 +500,6 @@ class TransitionRewardWrapper:
         x, target = self.process_batch(batch)
         return self.model.update(x, target, optimizer)
 
-    def loss(self, batch: TransitionBatch) -> np.ndarray:
-        x, target = self.process_batch(batch)
-        return self.model.loss(x, target)
-
     def eval_score(self, batch: TransitionBatch) -> np.ndarray:
         x, target = self.process_batch(batch)
         return self.model.eval_score(x, target)
@@ -565,7 +517,7 @@ class TransitionRewardWrapper:
     def sample(self, obs: np.ndarray, action: np.ndarray,
                rng: np.random.Generator, sample: bool = True,
                member_assignment: np.ndarray | None = None,
-               groups: MemberGroups | None = None, dtype=np.float64,
+               groups: MemberGroups | None = None,
                stack: MemberStack | None = None):
         """Per-particle next-state (and reward) prediction.
 
@@ -574,58 +526,45 @@ class TransitionRewardWrapper:
         built (as `ModelEnv` does once per rollout); with ensemble_mean,
         moments are averaged over the elites. The Gaussian noise draw is one
         (P, D) block so results do not depend on how particles are grouped
-        by member. The model forward runs in dtype (float32 or float64); the
-        noise and the predictions are float64.
+        by member. The noise and the predictions are float64.
 
-        A float64 forward runs member by member on the normalized inputs. A
-        float32 one is one `stacked_forward` over stack, which must be the
-        elites' float32 weights with this wrapper's normalizer folded in
-        (`ModelEnv.reset` makes it once per rollout): the raw (obs, action)
-        rows go into one float32 array, and nothing is normalized.
+        The stack decides the precision of the model forward. Without one,
+        it is float64, member by member on the normalized inputs. With one,
+        which must be the elites' float32 weights with this wrapper's
+        normalizer folded in (`ModelEnv.reset` makes it once per rollout),
+        it is one float32 `stacked_forward`: the raw (obs, action) rows go
+        into one float32 array, and nothing is normalized.
         """
         obs = np.asarray(obs, dtype=np.float64)
         action = np.asarray(action, dtype=np.float64)
-        per_member = _forward_dtype(dtype) == np.float64
+        if (obs.ndim != 2 or obs.shape[1] != self.obs_dim
+                or action.shape != (len(obs), self.act_dim)):
+            raise ValidationError(
+                f"bad obs and action shapes {obs.shape}, {action.shape}")
         model = self.model
-        if per_member:
-            if stack is not None:
-                raise ValidationError(
-                    "stacked weights run a float32 forward, not a float64 one")
+        p = len(obs)
+        if stack is None:
             x = self.normalizer.normalize(
                 np.concatenate([obs, action], axis=-1))
         else:
-            if stack is None:
-                raise ValidationError(
-                    "a float32 forward runs through a MemberStack of the "
-                    "elites and this wrapper's normalizer")
-            if (obs.ndim != 2 or obs.shape[1] != self.obs_dim
-                    or action.shape != (len(obs), self.act_dim)):
-                raise ValidationError(
-                    f"bad obs and action shapes {obs.shape}, {action.shape}")
-            x = np.empty((len(obs), model.in_size), STACK_DTYPE)
+            x = np.empty((p, model.in_size), STACK_DTYPE)
             x[:, :self.obs_dim] = obs
             x[:, self.obs_dim:] = action
-        p = x.shape[0]
-        d = model.out_size
         if self.propagation == "fixed_model":
             if groups is None:
                 if member_assignment is None:
                     raise ValidationError(
                         "fixed_model propagation requires a member assignment")
                 groups = MemberGroups.from_assignment(
-                    member_assignment, model.ensemble_size)
-            if groups.bounds[-1] != p:
+                    member_assignment, range(model.ensemble_size)
+                    if stack is None else stack.members)
+            if groups.unpad.size != p:
                 raise ValidationError(
-                    f"member assignment covers {groups.bounds[-1]} "
+                    f"member assignment covers {groups.unpad.size} "
                     f"particles, expected {p}")
-            if per_member:
-                mu, logvar = model.grouped_forward(x, groups)
-            else:
-                if groups.stacked != stack.members:
-                    groups = groups.padded(stack.members)
-                mu, logvar = model.grouped_forward(x, groups, stack)
+            mu, logvar = model.grouped_forward(x, groups, stack)
         else:
-            if per_member:
+            if stack is None:
                 mean_all, lv_all = model.forward(x)
                 elites = model.elite_indices
             else:
@@ -640,7 +579,8 @@ class TransitionRewardWrapper:
                 logvar = np.log(np.exp(lv_all[elites]).mean(axis=0))
         pred = mu
         if sample and logvar is not None:
-            pred = mu + np.exp(0.5 * logvar) * rng.standard_normal((p, d))
+            pred = mu + np.exp(0.5 * logvar) * rng.standard_normal(
+                (p, model.out_size))
         return self._split_prediction(pred, obs)
 
 
@@ -759,11 +699,12 @@ class ModelEnvState:
     A float32 ModelEnv's episode also carries `stack`, the float32 copy of
     the elites' weights, with the normalizer folded in, made at reset:
     every step of the episode forwards through it, so weights written and
-    normalizers refit after the reset do not reach the episode. `groups`,
-    the member assignment grouped by member (padded for the stack when
-    there is one), is built and checked by the episode's first step and
-    carried by every later one: an episode steps the same particles from
-    start to end, so it groups them once.
+    normalizers refit after the reset do not reach the episode, and its
+    steps run in float32; an episode without one steps in float64.
+    `groups`, the member assignment grouped over the stack's members (over
+    every ensemble index without a stack), is built and checked by the
+    episode's first step and carried by every later one: an episode steps
+    the same particles from start to end, so it groups them once.
     """
 
     obs: np.ndarray                      # (P, S)
@@ -782,10 +723,11 @@ class ModelEnv:
     frozen, its observation held and its reward zero thereafter. dtype
     (float32 or float64) is the precision of the model forward at each
     step; observations, rewards, noise and done flags are float64 either
-    way. A float64 step forwards member by member. A float32 step is one
-    stacked forward over the elites, whose weights `reset` casts once for
-    the whole episode, folding the normalizer into the first layer: the
-    step feeds it the raw (obs, action) rows.
+    way. A float32 ModelEnv's `reset` casts the elites' weights once for
+    the whole episode into a `MemberStack`, folding the normalizer into
+    the first layer, and the stack sets the precision of every step: one
+    stacked float32 forward over the elites, fed the raw (obs, action)
+    rows. A float64 episode has no stack and forwards member by member.
 
     Each step tests termination once. A reward function that pays 1 per
     step until the termination function fires (its `alive_until` is that
@@ -807,7 +749,11 @@ class ModelEnv:
         self._alive_reward = (
             getattr(reward_fn, "alive_until", None) is termination_fn
             and not hasattr(reward_fn, "__wrapped__"))
-        self.dtype = _forward_dtype(dtype)
+        self.dtype = np.dtype(dtype)
+        if self.dtype not in (np.float32, np.float64):
+            raise ValidationError(
+                f"model forward dtype must be float32 or float64, got "
+                f"{self.dtype}")
 
     def reset(self, initial_obs: np.ndarray,
               rng: np.random.Generator) -> ModelEnvState:
@@ -848,12 +794,12 @@ class ModelEnv:
         groups = state.groups
         if groups is None and state.member_assignment is not None:
             groups = MemberGroups.from_assignment(
-                state.member_assignment, self.wrapper.model.ensemble_size)
-            if state.stack is not None:
-                groups = groups.padded(state.stack.members)
+                state.member_assignment,
+                range(self.wrapper.model.ensemble_size)
+                if state.stack is None else state.stack.members)
         pred_obs, pred_reward = self.wrapper.sample(
             state.obs, actions, rng, sample=sample, groups=groups,
-            dtype=self.dtype, stack=state.stack)
+            stack=state.stack)
         # finished particles are frozen: observation held, reward 0 (most
         # steps have none, and then skip the masking)
         done = state.done

@@ -1,11 +1,11 @@
 """Minimal dense-network substrate with hand-derived gradients.
 
 Parameters live in one float64 vector, with weights and biases as views
-into it. Parameters, gradients, training and checkpoints are float64; the
-inference forward (no cache) computes in float32 when its input is float32.
-Planning rollouts do not call it: they run one stacked float32 forward over
-an ensemble's members (`GaussianMLPEnsemble.stacked_forward`), with the
-activations of `BUFFERED_ACTIVATIONS`. The backward pass is written for the
+into it. Parameters, gradients, training, checkpoints and the forward are
+float64. Float32 planning rollouts do not call the forward: they run one
+stacked float32 forward over an ensemble's members
+(`GaussianMLPEnsemble.stacked_forward`), with the activations of
+`BUFFERED_ACTIVATIONS`. The backward pass is written for the
 fixed affine/activation architecture used by the Gaussian MLPs; correctness
 is anchored to central finite differences in the test suite.
 """
@@ -174,27 +174,21 @@ class DenseNet:
     def out_size(self) -> int:
         return self.layer_sizes[-1]
 
-    def num_params(self) -> int:
-        return self.params.size
-
     def forward(self, x: np.ndarray, cache: bool = False) -> np.ndarray:
-        """Output for x (B, in). cache=True keeps the layer inputs and
-        pre-activations for `backward` and computes in float64; without it
-        the bias and activation are applied in place, nothing is kept, and a
-        float32 x is forwarded in float32 (the weights cast on each call),
-        any other x in float64. Planning rollouts run the ensemble's stacked
-        forward instead (`GaussianMLPEnsemble.stacked_forward`)."""
-        x = np.asarray(x)
-        if cache or x.dtype != np.float32:
-            x = np.asarray(x, dtype=np.float64)
+        """Output for x (B, in), float64 whatever x's dtype. cache=True
+        keeps the layer inputs and pre-activations for `backward`; without
+        it the bias and activation are applied in place and nothing is
+        kept. Float32 planning rollouts run the ensemble's stacked forward
+        instead (`GaussianMLPEnsemble.stacked_forward`)."""
+        x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_size:
             raise ValueError(f"expected (B, {self.in_size}) input, got {x.shape}")
         h = x
         last = len(self.weights) - 1
         if not cache:
             for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-                h = h @ w.astype(h.dtype, copy=False).T
-                h += b.astype(h.dtype, copy=False)
+                h = h @ w.T
+                h += b
                 if i < last:
                     self._act_inplace(h)
             return h

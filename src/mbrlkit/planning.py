@@ -9,13 +9,11 @@ trajectory evaluator), and executes only the first action.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import ValidationError
-from .fileio import replace_on_success
 
 
 @dataclass
@@ -121,19 +119,6 @@ def cem_optimize(objective, cfg: CEMConfig, init_mean: np.ndarray,
     else:
         solution, value = best_x, best_value
     return CEMResult(solution, value, trace)
-
-
-def write_cem_trace(trace, path) -> None:
-    """Per-iteration diagnostics CSV; the file is replaced whole, never
-    torn."""
-    with replace_on_success(path) as tmp, open(tmp, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["iteration", "best_value", "mean_elite_value",
-                         "mean_norm", "var_norm"])
-        for row in trace:
-            writer.writerow([row.iteration, row.best_value,
-                             row.mean_elite_value, row.mean_norm,
-                             row.var_norm])
 
 
 def evaluate_action_sequences(model_env, initial_obs: np.ndarray,

@@ -127,6 +127,12 @@ class TestValueCombinationErrors:
          "dynamics_model: hid_size must be >= 1"),
         ({"dynamics_model": {"lr": -1.0}, "overrides": SHORT_RUN},
          "dynamics_model: lr must be > 0"),
+        # 0 used to run with the default capacity, and a negative value
+        # to exit 1 from the buffer with no section named
+        ({"overrides": {"buffer_capacity": 0, **SHORT_RUN}},
+         "overrides: buffer_capacity must be >= 1"),
+        ({"overrides": {"buffer_capacity": -3, **SHORT_RUN}},
+         "overrides: buffer_capacity must be >= 1"),
     ])
     def test_train_names_section(self, tmp_path, capsys, doc, message):
         path = self.write(tmp_path, doc)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from mbrlkit import algorithms, config, data, diagnostics, models, planning
+from mbrlkit import algorithms, config, data, diagnostics, models
 from mbrlkit.algorithms import LearningCurve
 from mbrlkit.cli import cli_main
 from mbrlkit.data import ReplayBuffer, Transition
@@ -239,19 +239,3 @@ class TestArtifactsAreNotTorn:
         assert (tmp_path / "rollout_dim_1.csv").read_bytes() == \
             before["rollout_dim_1.csv"]
         assert sorted(p.name for p in tmp_path.iterdir()) == names
-
-    def test_cem_trace_csv(self, tmp_path):
-        class FailingRow:
-            @property
-            def iteration(self):
-                raise Interrupted
-
-        path = tmp_path / "cem_trace.csv"
-        row = planning.CEMTraceRow(1, 2.0, 1.0, 0.5, 0.25)
-        planning.write_cem_trace([row], path)
-        before = path.read_bytes()
-        # the header and two rows are written, then the third row fails
-        with pytest.raises(Interrupted):
-            planning.write_cem_trace([row, row, FailingRow()], path)
-        assert path.read_bytes() == before
-        assert leftovers(tmp_path, "cem_trace.csv") == []

@@ -297,10 +297,15 @@ class TestUpdateAndScore:
         w.update_normalizer(batch)
         x, t = w.process_batch(batch)
         opt = AdamState(lr=1e-3)
-        initial = model.loss(x, t).mean()
+
+        def loss():  # the members' mean loss, parameters left as they are
+            return np.mean([model.member_loss_and_grads(e, x, t)[0]
+                            for e in range(model.ensemble_size)])
+
+        initial = loss()
         for _ in range(500):
             model.update(x, t, opt)
-        final = model.loss(x, t).mean()
+        final = loss()
         assert final <= 0.5 * initial
 
     def test_deterministic_fits_linear_system(self):
@@ -597,17 +602,26 @@ class TestModelEnv:
 
 
 def per_member_reference(wrapper, obs, act, assignment, rng, sample):
-    """Member m forwards the rows assigned to it, in ascending particle
-    order, one member at a time; then one (P, D) noise block."""
+    """Under fixed_model, member m forwards the rows assigned to it, in
+    ascending particle order, one member at a time; under ensemble_mean,
+    every member forwards every row and the elites' moments are averaged.
+    Then one (P, D) noise block; all in float64."""
     model = wrapper.model
     x = wrapper.normalizer.normalize(np.concatenate([obs, act], axis=1))
-    mu = np.empty((len(x), model.out_size))
-    logvar = np.empty_like(mu)
-    for m in np.unique(assignment):
-        rows = np.flatnonzero(assignment == m)
-        mu[rows], lv = model.member_forward(int(m), x[rows])
-        if lv is not None:
-            logvar[rows] = lv
+    if wrapper.propagation == "fixed_model":
+        mu = np.empty((len(x), model.out_size))
+        logvar = np.empty_like(mu)
+        for m in np.unique(assignment):
+            rows = np.flatnonzero(assignment == m)
+            mu[rows], lv = model.member_forward(int(m), x[rows])
+            if lv is not None:
+                logvar[rows] = lv
+    else:
+        mean_all, lv_all = model.forward(x)
+        elites = model.elite_indices
+        mu = mean_all[elites].mean(axis=0)
+        if lv_all is not None:
+            logvar = np.log(np.exp(lv_all[elites]).mean(axis=0))
     if sample and not model.deterministic:
         mu = mu + np.exp(0.5 * logvar) * rng.standard_normal(mu.shape)
     return obs + mu
@@ -665,8 +679,8 @@ class TestGroupedSampling:
         p = len(assignment)
         obs = rng.standard_normal((p, 2))
         act = rng.standard_normal((p, 1))
-        groups = MemberGroups.from_assignment(assignment,
-                                              case["ensemble_size"])
+        groups = MemberGroups.from_assignment(
+            assignment, range(case["ensemble_size"]))
         expected = per_member_reference(w, obs, act, assignment,
                                         np.random.default_rng(1), True)
         for kwargs in ({"member_assignment": assignment},
@@ -716,14 +730,32 @@ class TestGroupedSampling:
             assert np.all(dones[was_done])
 
     def test_groups_order_and_bounds(self):
-        groups = MemberGroups.from_assignment(np.array([2, 0, 2, 2, 0]), 4)
-        assert groups.order.tolist() == [1, 4, 0, 2, 3]
-        assert groups.bounds.tolist() == [0, 2, 2, 5, 5]
+        # each member's block holds its particles in ascending order, then
+        # padding: its last particle, or the block before's (the first
+        # particle before any)
+        groups = MemberGroups.from_assignment(np.array([2, 0, 2, 2, 0]),
+                                              range(4))
+        assert groups.members == (0, 1, 2, 3)
+        assert groups.counts == (2, 0, 3, 0)
+        assert groups.gather.tolist() == [[1, 4, 4], [4, 4, 4], [0, 2, 3],
+                                          [3, 3, 3]]
+        assert groups.unpad.tolist() == [6, 0, 7, 8, 1]
+        groups = MemberGroups.from_assignment(np.array([2, 2, 1]), [1, 2])
+        assert groups.counts == (1, 2)
+        assert groups.gather.tolist() == [[2, 2], [0, 1]]
+        assert groups.unpad.tolist() == [2, 3, 0]
 
-    def test_member_ordered_particles_need_no_order(self):
-        groups = MemberGroups.from_assignment(np.array([0, 0, 2, 2, 2]), 4)
-        assert groups.order is None
-        assert groups.bounds.tolist() == [0, 2, 2, 5, 5]
+    def test_member_ordered_particles_need_no_order(self, monkeypatch):
+        def no_argsort(*args, **kwargs):
+            raise AssertionError("member-ordered particles were sorted")
+
+        monkeypatch.setattr(np, "argsort", no_argsort)
+        groups = MemberGroups.from_assignment(np.array([0, 0, 2, 2, 2]),
+                                              range(4))
+        assert groups.counts == (2, 0, 3, 0)
+        assert groups.gather.tolist() == [[0, 1, 1], [1, 1, 1], [2, 3, 4],
+                                          [4, 4, 4]]
+        assert groups.unpad.tolist() == [0, 1, 6, 7, 8]
 
     def test_mask_select_keeps_member_order(self):
         model = GaussianMLPEnsemble(3, 2, ensemble_size=4, num_layers=2,
@@ -743,21 +775,26 @@ class TestGroupedSampling:
         rng = np.random.default_rng(2)
         _, _, _, stepped = menv.step(kept, actions, rng)
         expected = MemberGroups.from_assignment(
-            state.member_assignment[keep], 4)
-        assert stepped.groups.order is None
-        assert np.array_equal(stepped.groups.bounds, expected.bounds)
+            state.member_assignment[keep], range(4))
+        # still in member order: each particle's slot follows the last one
+        assert np.all(np.diff(stepped.groups.unpad) > 0)
+        assert stepped.groups.counts == expected.counts
+        assert np.array_equal(stepped.groups.gather, expected.gather)
+        assert np.array_equal(stepped.groups.unpad, expected.unpad)
         _, _, _, again = menv.step(stepped, actions, rng)
         assert again.groups is stepped.groups
 
     def test_bad_assignment_rejected(self):
-        with pytest.raises(ValidationError):
-            MemberGroups.from_assignment(np.array([0, 3]), 3)
-        with pytest.raises(ValidationError):
-            MemberGroups.from_assignment(np.array([0, -1]), 3)
+        for assignment in ([0, 3], [0, -1], [0.0, 1.0], [[0, 1]]):
+            with pytest.raises(ValidationError):
+                MemberGroups.from_assignment(np.array(assignment), range(3))
+        for members in ([], [1, 0], [0, 0, 1], [-1, 0]):
+            with pytest.raises(ValidationError):
+                MemberGroups.from_assignment(np.array([0, 1]), members)
         model = GaussianMLPEnsemble(3, 2, ensemble_size=2, num_layers=2,
                                     hid_size=4, rng=np.random.default_rng(0))
         w = TransitionRewardWrapper(model, 2, 1)
-        groups = MemberGroups.from_assignment(np.array([0, 1, 1]), 2)
+        groups = MemberGroups.from_assignment(np.array([0, 1, 1]), range(2))
         with pytest.raises(ValidationError):
             w.sample(np.zeros((2, 2)), np.zeros((2, 1)),
                      np.random.default_rng(0), groups=groups)
@@ -878,7 +915,8 @@ class TestFloat32Forward:
         x = np.random.default_rng(1).standard_normal((5, 3))
         mean, logvar = model.forward(x.astype(np.float32))
         assert mean.dtype == logvar.dtype == np.float64
-        groups = MemberGroups.from_assignment(np.array([1, 0, 1, 1, 0]), 2)
+        groups = MemberGroups.from_assignment(np.array([1, 0, 1, 1, 0]),
+                                              range(2))
         mean, logvar = model.grouped_forward(x.astype(np.float32), groups)
         assert mean.dtype == logvar.dtype == np.float64
 
@@ -886,13 +924,10 @@ class TestFloat32Forward:
         model = GaussianMLPEnsemble(3, 2, ensemble_size=1, num_layers=2,
                                     hid_size=4, rng=np.random.default_rng(0))
         w = TransitionRewardWrapper(model, 2, 1)
-        with pytest.raises(ValidationError):
-            ModelEnv(w, no_termination, lambda a, o: o[:, 0],
-                     dtype=np.float16)
-        with pytest.raises(ValidationError):
-            w.sample(np.zeros((2, 2)), np.zeros((2, 1)),
-                     np.random.default_rng(0), member_assignment=np.zeros(
-                         2, dtype=int), dtype=np.float16)
+        for dtype in (np.float16, np.int64):
+            with pytest.raises(ValidationError):
+                ModelEnv(w, no_termination, lambda a, o: o[:, 0],
+                         dtype=dtype)
 
 
 @st.composite
@@ -908,34 +943,10 @@ def stacked_cases(draw):
     return case
 
 
-def per_member_f32_reference(wrapper, obs, act, assignment, rng, sample):
-    """The float32 forward one member at a time (`DenseNet.forward`), then
-    the heads and one (P, D) noise block in float64."""
-    model = wrapper.model
-    x = wrapper.normalizer.normalize(np.concatenate([obs, act], axis=1))
-    x = x.astype(np.float32)
-    if wrapper.propagation == "fixed_model":
-        mu = np.empty((len(x), model.out_size))
-        logvar = np.empty_like(mu)
-        for m in np.unique(assignment):
-            rows = np.flatnonzero(assignment == m)
-            mu[rows], lv = model.member_forward(int(m), x[rows])
-            if lv is not None:
-                logvar[rows] = lv
-    else:
-        mean_all, lv_all = model.forward(x)
-        elites = model.elite_indices
-        mu = mean_all[elites].mean(axis=0)
-        if lv_all is not None:
-            logvar = np.log(np.exp(lv_all[elites]).mean(axis=0))
-    if sample and not model.deterministic:
-        mu = mu + np.exp(0.5 * logvar) * rng.standard_normal(mu.shape)
-    return obs + mu
-
-
 class TestStackedForward:
     """The float32 forward of planning runs all stacked members in one
-    matmul per layer and gives the per-member float32 forward's results."""
+    matmul per layer and stays within F32_TOL of the per-member float64
+    forward."""
 
     @given(stacked_cases())
     @settings(max_examples=60)
@@ -945,18 +956,17 @@ class TestStackedForward:
         model = w.model
         assignment = case["assignment"]
         stack = model.stack_members(sorted(case["elites"]), w.normalizer)
-        groups = MemberGroups.from_assignment(
-            assignment, case["ensemble_size"]).padded(stack.members)
+        groups = MemberGroups.from_assignment(assignment, stack.members)
         ref_rng = np.random.default_rng(1)
-        expected = per_member_f32_reference(w, obs, actions[0], assignment,
-                                            ref_rng, case["sample"])
+        expected = per_member_reference(w, obs, actions[0], assignment,
+                                        ref_rng, case["sample"])
         # with the rollout's stack and groups, and with the stack and the
-        # assignment, grouped and padded by the call
+        # assignment, grouped by the call
         for kwargs in ({"groups": groups, "stack": stack},
                        {"member_assignment": assignment, "stack": stack}):
             rng = np.random.default_rng(1)
             got, _ = w.sample(obs, actions[0], rng, sample=case["sample"],
-                              dtype=np.float32, **kwargs)
+                              **kwargs)
             np.testing.assert_allclose(got, expected, rtol=F32_TOL,
                                        atol=F32_TOL)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -966,8 +976,7 @@ class TestStackedForward:
     def test_padded_layout_hands_rows_back_in_order(self, case):
         assignment = case["assignment"]
         stacked = sorted(case["present"])
-        groups = MemberGroups.from_assignment(
-            assignment, case["ensemble_size"]).padded(stacked)
+        groups = MemberGroups.from_assignment(assignment, stacked)
         p = len(assignment)
         m = groups.gather.shape[1]
         assert groups.gather.shape == (len(stacked), m)
@@ -990,8 +999,7 @@ class TestStackedForward:
         x = rng.standard_normal((p, 3)).astype(np.float32)
         stack = w.model.stack_members(stacked)
         mean, _ = w.model.grouped_forward(x, groups, stack)
-        rev = MemberGroups.from_assignment(
-            assignment[::-1], case["ensemble_size"]).padded(stacked)
+        rev = MemberGroups.from_assignment(assignment[::-1], stacked)
         mean_rev, _ = w.model.grouped_forward(x[::-1], rev, stack)
         np.testing.assert_allclose(mean_rev, mean[::-1], rtol=F32_TOL,
                                    atol=F32_TOL)
@@ -1097,27 +1105,23 @@ class TestStackedForward:
         for members in ([0, 0], [3], [-1]):
             with pytest.raises(ValidationError):
                 model.stack_members(members)
-        groups = MemberGroups.from_assignment(assignment, 3)
         with pytest.raises(ValidationError):  # member 2 is not stacked
-            groups.padded([0, 1])
+            MemberGroups.from_assignment(assignment, [0, 1])
         with pytest.raises(ValidationError):  # not ascending
-            groups.padded([2, 0])
-        groups = groups.padded([0, 1, 2])
+            MemberGroups.from_assignment(assignment, [2, 0])
+        groups = MemberGroups.from_assignment(assignment, [0, 1, 2])
         with pytest.raises(ValidationError):
             model.grouped_forward(np.zeros((3, 3), np.float32), groups,
                                   model.stack_members([0, 2]))
-        with pytest.raises(ValidationError):  # stacks run float32 only
-            w.sample(obs, act, np.random.default_rng(0), groups=groups,
-                     stack=model.stack_members([0, 1, 2]))
-        with pytest.raises(ValidationError):  # float32 runs through a stack
-            w.sample(obs, act, np.random.default_rng(0), groups=groups,
-                     dtype=np.float32)
         stack = model.stack_members([0, 1, 2], w.normalizer)
-        for bad_obs, bad_act in ((np.zeros((3, 3)), act),
-                                 (obs, np.zeros((1, 1)))):
-            with pytest.raises(ValidationError):  # rows of the wrong shape
-                w.sample(bad_obs, bad_act, np.random.default_rng(0),
-                         groups=groups, dtype=np.float32, stack=stack)
+        # rows of the wrong shape, in float64 (no stack) and in float32
+        for kwargs in ({}, {"stack": stack}):
+            for bad_obs, bad_act in ((np.zeros((3, 3)), act),
+                                     (obs, np.zeros((1, 1))),
+                                     (obs, np.zeros((3, 2)))):
+                with pytest.raises(ValidationError):
+                    w.sample(bad_obs, bad_act, np.random.default_rng(0),
+                             groups=groups, **kwargs)
 
 
 class TestCheckpoint:

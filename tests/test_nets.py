@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from mbrlkit.nets import (AdamState, DenseNet, load_arrays, relu,
-                          save_arrays, sigmoid, silu, silu_grad, softplus,
-                          softplus_split)
+from mbrlkit.nets import (AdamState, DenseNet, load_arrays, param_count,
+                          relu, save_arrays, sigmoid, silu, silu_grad,
+                          softplus, softplus_split)
 
 
 def finite_diff(f, flat, h=1e-5):
@@ -55,7 +55,8 @@ class TestForward:
 
     def test_param_count(self):
         net = DenseNet([3, 5, 2], rng=np.random.default_rng(0))
-        assert net.num_params() == 3 * 5 + 5 + 5 * 2 + 2
+        assert net.params.size == param_count([3, 5, 2]) == \
+            3 * 5 + 5 + 5 * 2 + 2
 
 
 class TestBackward:
@@ -181,21 +182,18 @@ class TestSoftplusSplit:
 
 
 class TestForwardPrecision:
-    """The inference forward runs in float32 for float32 input; float64
-    input, and any forward with cache, stay float64."""
+    """The forward runs in float64 whatever the input's dtype, with or
+    without cache."""
 
     @pytest.mark.parametrize("activation", ["relu", "silu"])
-    def test_float32_input_gives_float32_output(self, activation):
+    def test_float32_input_gives_float64_bits(self, activation):
         rng = np.random.default_rng(4)
         net = DenseNet([5, 16, 16, 4], activation=activation, rng=rng)
-        x = rng.standard_normal((40, 5))
-        out32 = net.forward(x.astype(np.float32))
-        assert out32.dtype == np.float32
-        # 100 float32 ulps relative to 1 + |value|
-        tol = 100 * np.finfo(np.float32).eps
-        np.testing.assert_allclose(out32, net.forward(x), rtol=tol, atol=tol)
-        assert net.forward(x.astype(np.float32), cache=True).dtype == \
-            np.float64
+        x32 = rng.standard_normal((40, 5)).astype(np.float32)
+        out = net.forward(x32)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, net.forward(x32.astype(np.float64)))
+        assert np.array_equal(net.forward(x32, cache=True), out)
         assert net.params.dtype == np.float64
 
     @pytest.mark.parametrize("activation", ["relu", "silu"])

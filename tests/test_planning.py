@@ -11,8 +11,7 @@ from mbrlkit.models import (GaussianMLPEnsemble, MemberGroups, ModelEnv,
                             TransitionRewardWrapper)
 from mbrlkit.planning import (Agent, CEMConfig, RandomAgent,
                               TrajectoryOptimizerAgent, cem_optimize,
-                              create_mpc_agent, evaluate_action_sequences,
-                              write_cem_trace)
+                              create_mpc_agent, evaluate_action_sequences)
 
 
 def quadratic(x):
@@ -162,17 +161,6 @@ class TestCEM:
         with pytest.raises(ValidationError):
             cem_optimize(quadratic, CEMConfig(), np.zeros(1), 1.0, -1.0,
                          np.random.default_rng(0))
-
-    def test_trace_export(self, tmp_path):
-        cfg = CEMConfig(population=30, elite_count=3, iterations=2,
-                        initial_var=1.0)
-        res = cem_optimize(quadratic, cfg, np.zeros(1), -10.0, 10.0,
-                           np.random.default_rng(0))
-        path = tmp_path / "trace.csv"
-        write_cem_trace(res.trace, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,best_value,mean_elite_value,mean_norm,var_norm"
-        assert len(lines) == 3
 
 
 def perfect_linear_model_env(obs_dim=1, act_dim=1, reward_fn=None):
@@ -381,13 +369,15 @@ class TestDistinctParticleRollouts:
 
     def test_noise_free_rows_need_no_gather(self, monkeypatch):
         # the distinct rows are member-major, so every step's rows are
-        # already grouped by member, also once some of them have finished
-        orders = []
+        # already grouped by member, also once some of them have finished:
+        # each particle's slot comes after the one before it, so grouping
+        # them takes no argsort and no reordering gather
+        unpads = []
         real = GaussianMLPEnsemble.grouped_forward
 
-        def spy(model, x, groups):
-            orders.append(groups.order)
-            return real(model, x, groups)
+        def spy(model, x, groups, stack=None):
+            unpads.append(groups.unpad)
+            return real(model, x, groups, stack)
 
         monkeypatch.setattr(GaussianMLPEnsemble, "grouped_forward", spy)
         menv, obs0, seqs = cartpole_model_rollout(ENDING_ROLLOUT)
@@ -404,16 +394,16 @@ class TestDistinctParticleRollouts:
                                   np.random.default_rng(7), sample=False)
         assert 0.0 < max(finished) < 1.0  # some rows finished, not all
         assert len(set(rows)) == 1  # and stayed in the batch
-        assert orders and all(order is None for order in orders)
+        assert unpads and all(np.all(np.diff(u) > 0) for u in unpads)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_noise_free_rollout_groups_once(self, monkeypatch, dtype):
         grouped = []
         real = MemberGroups.from_assignment.__func__
 
-        def spy(cls, assignment, ensemble_size):
+        def spy(cls, assignment, members):
             grouped.append(len(assignment))
-            return real(cls, assignment, ensemble_size)
+            return real(cls, assignment, members)
 
         monkeypatch.setattr(MemberGroups, "from_assignment",
                             classmethod(spy))
