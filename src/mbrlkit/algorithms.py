@@ -65,6 +65,10 @@ class PETSConfig:
     def validate(self) -> None:
         """Raises ValidationError on invalid value combinations; each
         message starts with the name of the field it rejects."""
+        if self.num_trials < 0:
+            raise ValidationError("num_trials must be >= 0")
+        if self.num_epochs < 0:
+            raise ValidationError("num_epochs must be >= 0")
         if self.model_retrain_interval < 1:
             raise ValidationError("model_retrain_interval must be >= 1")
         if self.buffer_capacity is not None and self.buffer_capacity < 1:

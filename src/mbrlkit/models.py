@@ -22,8 +22,7 @@ from .data import (Normalizer, TransitionBatch, TransitionIterator,
                    ValidationError)
 from .fileio import replace_on_success
 from .nets import (BUFFERED_ACTIVATIONS, AdamState, DenseNet, layer_views,
-                   load_arrays, param_count, save_arrays, sigmoid, softplus,
-                   softplus_split)
+                   load_arrays, param_count, save_arrays, sigmoid, softplus)
 
 LOGVAR_BOUND_REG = 0.01
 MIN_LOGVAR_INIT = -10.0
@@ -76,7 +75,8 @@ class GaussianMLPEnsemble:
 
     Training, scoring and every float64 forward run one member at a time.
     Float32 planning runs `stacked_forward`: each layer is one matmul over
-    a `MemberStack`, a float32 copy of some members' parameters.
+    a `MemberStack`, a float32 copy of some members' parameters. Planning
+    draws its noise with the bounded variance in closed form (`_variance`).
     """
 
     def __init__(self, in_size: int, out_size: int, ensemble_size: int = 1,
@@ -105,7 +105,7 @@ class GaussianMLPEnsemble:
         blocks = self.params[:end].reshape(self.ensemble_size, n)
         weights, biases = layer_views(self.layer_sizes, blocks)
         self.layer_weights, self.layer_biases = tuple(weights), tuple(biases)
-        self._act_buffered = BUFFERED_ACTIVATIONS[activation]
+        self._act_buffered, self._act_scale = BUFFERED_ACTIVATIONS[activation]
         self.min_logvar = self.params[end:end + self.out_size]
         self.max_logvar = self.params[end + self.out_size:]
         self.min_logvar[...] = MIN_LOGVAR_INIT
@@ -138,33 +138,42 @@ class GaussianMLPEnsemble:
 
     # --- forward ------------------------------------------------------------
 
-    def _bound_logvar(self, raw: np.ndarray, grads: bool = False,
-                      soft=softplus):
+    def _bound_logvar(self, raw: np.ndarray, grads: bool = False):
         """Double-softplus soft bounds, float64 whatever raw's precision;
         returns (logvar, backward cache), the cache being None unless grads
-        is set. soft is the softplus: `softplus` everywhere but on the
-        float32 planning path, which takes `softplus_split`."""
-        z2 = self.max_logvar - soft(self.max_logvar - raw)
-        logvar = self.min_logvar + soft(z2 - self.min_logvar)
+        is set. Training, scoring and `forward` bound with it; planning
+        draws its noise with `_variance`, exp(logvar) in closed form."""
+        z2 = self.max_logvar - softplus(self.max_logvar - raw)
+        logvar = self.min_logvar + softplus(z2 - self.min_logvar)
         if not grads:
             return logvar, None
         sig_max = sigmoid(self.max_logvar - raw)
         sig_min = sigmoid(z2 - self.min_logvar)
         return logvar, (sig_max, sig_min)
 
-    def _heads(self, out: np.ndarray, soft=softplus):
-        """Splits raw outputs (..., head) into (mean, logvar), each
-        (..., out); the mean keeps out's precision, logvar (bounded with
-        soft) is float64, and None when deterministic."""
-        if self.deterministic:
-            return out, None
-        logvar, _ = self._bound_logvar(out[..., self.out_size:], soft=soft)
-        return out[..., :self.out_size], logvar
+    def _variance(self, raw: np.ndarray) -> np.ndarray:
+        """exp of the bounded log-variance of raw, float64 whatever raw's
+        precision, in closed form: the double softplus gives
+        exp(logvar) = e^min + 1 / (e^-max + e^-raw), one exp a value. As raw
+        falls, e^-raw overflows to inf (expected, so not reported) and the
+        variance is e^min; as it rises, e^-raw goes to 0 and the variance
+        to e^min + e^max."""
+        var = np.negative(raw, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            np.exp(var, out=var)
+        var += np.exp(-self.max_logvar)
+        np.reciprocal(var, out=var)
+        var += np.exp(self.min_logvar)
+        return var
 
     def member_forward(self, e: int, x: np.ndarray):
         """Member e's float64 heads for x (B, in): (mean, logvar), each
         (B, out); logvar is None when deterministic."""
-        return self._heads(self.members[e].forward(x))
+        out = self.members[e].forward(x)
+        if self.deterministic:
+            return out, None
+        return (out[:, :self.out_size],
+                self._bound_logvar(out[:, self.out_size:])[0])
 
     def stack_members(self, members,
                       normalizer: Normalizer | None = None) -> MemberStack:
@@ -172,7 +181,10 @@ class GaussianMLPEnsemble:
         indices, in stack order), made now: later writes to `params` or to
         the normalizer do not reach it. With a normalizer the stack takes
         raw inputs, as layer 0 folds it in: weights W / std and bias
-        b - (W / std) mean, computed in float64 and then cast."""
+        b - (W / std) mean. A SiLU ensemble's hidden layers are halved, so
+        that they output z / 2 for the activation (`nets._silu_buffered`);
+        ReLU layers are not scaled. The fold and the halving (exact) are
+        computed in float64, then cast."""
         members = tuple(int(e) for e in members)
         if not members or len(set(members)) != len(members) or any(
                 e < 0 or e >= self.ensemble_size for e in members):
@@ -186,6 +198,10 @@ class GaussianMLPEnsemble:
             weights[0] = (np.ascontiguousarray(weights[0])
                           / normalizer.std[:, None])
             biases[0] = biases[0] - normalizer.mean @ weights[0]
+        if self._act_scale != 1.0:
+            for i in range(len(weights) - 1):
+                weights[i] = weights[i] * self._act_scale
+                biases[i] = biases[i] * self._act_scale
         return MemberStack(
             members,
             tuple(np.ascontiguousarray(w, STACK_DTYPE) for w in weights),
@@ -206,6 +222,7 @@ class GaussianMLPEnsemble:
         # (and faults in) no large temporaries
         work, biases = stack.buffers(h.shape[-2])
         last = len(stack.weights) - 1
+        # a stack's SiLU layers output z / 2, the activation's input
         for i in range(last):
             h = np.matmul(h, stack.weights[i], out=work[i % 2])
             h += biases[i]
@@ -221,10 +238,12 @@ class GaussianMLPEnsemble:
 
         One gather fills each member's block of rows. With a stack, which
         must be for the groups' members, the blocks go through one float32
-        `stacked_forward`, the mean head stays float32 and the log-variance
-        is bounded in float64 with `softplus_split`. Without one, each
-        member's float64 forward runs on its own rows of its block. One
-        gather then reads every row back; the log-variance is float64."""
+        `stacked_forward` and the mean head stays float32. Without one,
+        each member's float64 forward runs on its own rows of its block.
+        One gather then reads every row back. Returns (mean, std), each
+        (P, out), std being the float64 standard deviation, None when
+        deterministic: exp(0.5 * logvar) without a stack, and with one the
+        square root of the variance in closed form (`_variance`)."""
         # take, not fancy indexing: the same rows, fewer microseconds
         blocks = x.take(groups.gather, axis=0)
         if stack is not None:
@@ -233,15 +252,19 @@ class GaussianMLPEnsemble:
                     f"groups for members {groups.members}, weights stacked "
                     f"for {stack.members}")
             out = self.stacked_forward(blocks, stack)
-            soft = softplus_split
         else:
             out = np.empty(blocks.shape[:2] + (self.layer_sizes[-1],))
             for s, (e, c) in enumerate(zip(groups.members, groups.counts)):
                 if c:
                     out[s, :c] = self.members[e].forward(blocks[s, :c])
-            soft = softplus
         out = out.reshape(-1, out.shape[-1]).take(groups.unpad, axis=0)
-        return self._heads(out, soft)
+        if self.deterministic:
+            return out, None
+        mean, raw = out[:, :self.out_size], out[:, self.out_size:]
+        if stack is None:
+            return mean, np.exp(0.5 * self._bound_logvar(raw)[0])
+        var = self._variance(raw)
+        return mean, np.sqrt(var, out=var)
 
     def forward(self, x: np.ndarray):
         """Per-member heads.
@@ -364,10 +387,11 @@ class MemberStack:
     transposed, and biases[i] is (S, 1, out); members are the S ensemble
     indices, in stack order. A stack made with a normalizer, as
     `ModelEnv.reset` makes it, has that normalizer folded into layer 0 and
-    forwards raw (obs, action) rows. The stack also keeps the buffers of
-    the forwards through it (`buffers`): a rollout makes one stack and
-    steps the same rows through it many times, so every step reuses the
-    same memory.
+    forwards raw (obs, action) rows. A SiLU stack holds its hidden layers
+    halved, for the activation's z / 2 form; the outputs of a forward are
+    the members' own. The stack also keeps the buffers of the forwards
+    through it (`buffers`): a rollout makes one stack and steps the same
+    rows through it many times, so every step reuses the same memory.
     """
 
     def __init__(self, members: tuple, weights: tuple, biases: tuple):
@@ -526,14 +550,17 @@ class TransitionRewardWrapper:
         built (as `ModelEnv` does once per rollout); with ensemble_mean,
         moments are averaged over the elites. The Gaussian noise draw is one
         (P, D) block so results do not depend on how particles are grouped
-        by member. The noise and the predictions are float64.
+        by member, and a sampled prediction is mu + std * noise. The noise
+        and the predictions are float64.
 
         The stack decides the precision of the model forward. Without one,
         it is float64, member by member on the normalized inputs. With one,
         which must be the elites' float32 weights with this wrapper's
         normalizer folded in (`ModelEnv.reset` makes it once per rollout),
         it is one float32 `stacked_forward`: the raw (obs, action) rows go
-        into one float32 array, and nothing is normalized.
+        into one float32 array, nothing is normalized, and the variance is
+        computed in closed form (`GaussianMLPEnsemble._variance`), one exp
+        a value, in place of the log-variance and its exp.
         """
         obs = np.asarray(obs, dtype=np.float64)
         action = np.asarray(action, dtype=np.float64)
@@ -562,25 +589,27 @@ class TransitionRewardWrapper:
                 raise ValidationError(
                     f"member assignment covers {groups.unpad.size} "
                     f"particles, expected {p}")
-            mu, logvar = model.grouped_forward(x, groups, stack)
+            mu, std = model.grouped_forward(x, groups, stack)
         else:
             if stack is None:
                 mean_all, lv_all = model.forward(x)
-                elites = model.elite_indices
+                mean_all = mean_all[model.elite_indices]
+                var_all = (None if lv_all is None
+                           else np.exp(lv_all[model.elite_indices]))
             else:
-                mean_all, lv_all = model._heads(
-                    model.stacked_forward(x, stack).astype(np.float64),
-                    softplus_split)
-                elites = slice(None)
-            mu = mean_all[elites].mean(axis=0)
-            logvar = None
-            if lv_all is not None:
-                # average member variances, not log-variances
-                logvar = np.log(np.exp(lv_all[elites]).mean(axis=0))
+                out = model.stacked_forward(x, stack)
+                mean_all = out[..., :model.out_size].astype(np.float64)
+                var_all = (None if model.deterministic
+                           else model._variance(out[..., model.out_size:]))
+            mu = mean_all.mean(axis=0)
+            # average member variances, not log-variances
+            std = (None if var_all is None
+                   else np.exp(0.5 * np.log(var_all.mean(axis=0))))
         pred = mu
-        if sample and logvar is not None:
-            pred = mu + np.exp(0.5 * logvar) * rng.standard_normal(
-                (p, model.out_size))
+        if sample and std is not None:
+            pred = rng.standard_normal((p, model.out_size))
+            pred *= std
+            pred += mu
         return self._split_prediction(pred, obs)
 
 

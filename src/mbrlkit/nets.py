@@ -5,7 +5,8 @@ into it. Parameters, gradients, training, checkpoints and the forward are
 float64. Float32 planning rollouts do not call the forward: they run one
 stacked float32 forward over an ensemble's members
 (`GaussianMLPEnsemble.stacked_forward`), with the activations of
-`BUFFERED_ACTIVATIONS`. The backward pass is written for the
+`BUFFERED_ACTIVATIONS`; a stacked SiLU layer holds half its weights and
+bias, and its activation takes z / 2. The backward pass is written for the
 fixed affine/activation architecture used by the Gaussian MLPs; correctness
 is anchored to central finite differences in the test suite.
 """
@@ -30,14 +31,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
-
-
-def softplus_split(x: np.ndarray) -> np.ndarray:
-    """softplus as max(x, 0) + log1p(exp(-|x|)), on numpy's vectorized exp
-    and log1p: within 2 ulps of `softplus` and about 5x faster on planning
-    blocks. Planning bounds its log-variances with it; training keeps
-    `softplus`."""
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -82,22 +75,24 @@ def relu_grad(x: np.ndarray) -> np.ndarray:
 
 
 def _silu_buffered(x: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """SiLU of x in place, as x / (1 + exp(-x)), with work (x's shape and
-    dtype) as the only temporary; exp(-x) overflows to inf, giving -0, for
-    very negative x."""
-    np.negative(x, out=work)
-    with np.errstate(over="ignore"):
-        np.exp(work, out=work)
+    """silu(z) in place of x = z / 2, as x * (1 + tanh(x)), since
+    sigmoid(z) = (1 + tanh(z / 2)) / 2, with work (x's shape and dtype) as
+    the only temporary: three passes and no divide. tanh saturates to -1,
+    giving -0, for very negative x, and to 1, giving z, for large x."""
+    np.tanh(x, out=work)
     work += 1.0
-    x /= work
+    x *= work
     return x
 
 
-# activation name -> act(x, work): applies it to x in place, allocating
-# nothing, with work an array of x's shape and dtype, zero-filled when it
-# was made and kept for the activation alone: SiLU overwrites it, ReLU
-# reads it as its zeros and so leaves it zero
-BUFFERED_ACTIVATIONS = {"silu": _silu_buffered, "relu": _relu_inplace}
+# activation name -> (act(x, work), scale): act applies the activation in
+# place to x, the layer's output computed with its weights and bias times
+# scale (a power of two, so that the scaling is exact), allocating
+# nothing; work is an array of x's shape and dtype, zero-filled when it was
+# made and kept for the activation alone: SiLU overwrites it, ReLU reads it
+# as its zeros and so leaves it zero
+BUFFERED_ACTIVATIONS = {"silu": (_silu_buffered, 0.5),
+                        "relu": (_relu_inplace, 1.0)}
 
 
 def truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:

@@ -133,6 +133,12 @@ class TestValueCombinationErrors:
          "overrides: buffer_capacity must be >= 1"),
         ({"overrides": {"buffer_capacity": -3, **SHORT_RUN}},
          "overrides: buffer_capacity must be >= 1"),
+        # a negative trial count used to exit 1 from the buffer with no
+        # section named, and a negative epoch count to train nothing
+        ({"overrides": {**SHORT_RUN, "num_trials": -1}},
+         "overrides: num_trials must be >= 0"),
+        ({"overrides": {"num_epochs": -2, **SHORT_RUN}},
+         "overrides: num_epochs must be >= 0"),
     ])
     def test_train_names_section(self, tmp_path, capsys, doc, message):
         path = self.write(tmp_path, doc)

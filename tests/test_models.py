@@ -1,5 +1,6 @@
 import functools
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,8 @@ from mbrlkit.models import (LOGVAR_BOUND_REG, GaussianMLPEnsemble,
                             TransitionRewardWrapper, gaussian_nll_loss,
                             load_model, mse_loss, save_model)
 from mbrlkit import envs
-from mbrlkit.nets import AdamState, DenseNet, load_arrays, save_arrays
+from mbrlkit.nets import (AdamState, DenseNet, _silu_buffered, load_arrays,
+                          save_arrays, silu)
 from mbrlkit.envs import no_termination
 
 
@@ -136,6 +138,42 @@ class TestLogVarianceBounds:
         expected = m.min_logvar + np.logaddexp(0.0, z2 - m.min_logvar)
         assert np.array_equal(m._bound_logvar(raw)[0], expected)
         assert np.array_equal(m._bound_logvar(raw, grads=True)[0], expected)
+
+    @pytest.mark.parametrize("bounds", [(-10.0, 0.5), (-3.0, 1.0),
+                                        (-20.0, -2.0), (0.0, 4.0)])
+    def test_closed_form_variance_matches_bounded_logvar(self, bounds):
+        # planning's variance, e^min + 1 / (e^-max + e^-raw), against exp of
+        # the double-softplus log-variance that training bounds with
+        lo, hi = bounds
+        m = GaussianMLPEnsemble(3, 2, ensemble_size=1, num_layers=2,
+                                hid_size=4, rng=np.random.default_rng(0))
+        m.min_logvar[...] = [lo, lo + 1.5]
+        m.max_logvar[...] = [hi, hi - 0.25]
+        raw = np.repeat(np.linspace(-800.0, 800.0, 160_001)[:, None], 2,
+                        axis=1).astype(np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            var = m._variance(raw)
+        assert var.dtype == np.float64
+        np.testing.assert_allclose(var, np.exp(m._bound_logvar(raw)[0]),
+                                   rtol=1e-13, atol=0)
+
+    def test_closed_form_variance_saturates(self):
+        m = GaussianMLPEnsemble(3, 2, ensemble_size=1, num_layers=2,
+                                hid_size=4, rng=np.random.default_rng(0))
+        m.min_logvar[...] = [-3.0, -1.5]
+        m.max_logvar[...] = [0.5, 1.0]
+        big = np.finfo(np.float32).max
+        raw = np.array([[-np.inf] * 2, [-big] * 2, [big] * 2, [np.inf] * 2],
+                       dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            var = m._variance(raw)
+        assert not np.any(np.isnan(var))
+        low = np.exp(m.min_logvar)
+        assert np.array_equal(var[:2], [low, low])
+        np.testing.assert_allclose(
+            var[2:], [low + np.exp(m.max_logvar)] * 2, rtol=1e-15, atol=0)
 
 
 class TestEnsembleMean:
@@ -917,8 +955,8 @@ class TestFloat32Forward:
         assert mean.dtype == logvar.dtype == np.float64
         groups = MemberGroups.from_assignment(np.array([1, 0, 1, 1, 0]),
                                               range(2))
-        mean, logvar = model.grouped_forward(x.astype(np.float32), groups)
-        assert mean.dtype == logvar.dtype == np.float64
+        mean, std = model.grouped_forward(x.astype(np.float32), groups)
+        assert mean.dtype == std.dtype == np.float64
 
     def test_other_dtypes_rejected(self):
         model = GaussianMLPEnsemble(3, 2, ensemble_size=1, num_layers=2,
@@ -970,6 +1008,22 @@ class TestStackedForward:
             np.testing.assert_allclose(got, expected, rtol=F32_TOL,
                                        atol=F32_TOL)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_silu_on_halved_inputs_matches_float64_silu(self):
+        # a stacked SiLU layer outputs z / 2 in float32 and the activation
+        # takes it to silu(z); the grid reaches |z| = 1000, where tanh
+        # saturates, and the work array starts out holding garbage
+        z = np.concatenate([np.linspace(-60.0, 60.0, 240_001),
+                            [-1000.0, -100.0, -50.0, 50.0, 100.0, 1000.0]]
+                           ).astype(np.float32)
+        x = z * np.float32(0.5)
+        work = np.full_like(x, np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _silu_buffered(x, work)
+        assert got is x and got.dtype == np.float32
+        np.testing.assert_allclose(got, silu(z.astype(np.float64)),
+                                   rtol=F32_TOL, atol=F32_TOL)
 
     @given(grouped_cases())
     @settings(max_examples=60)
@@ -1077,6 +1131,20 @@ class TestStackedForward:
                       np.zeros((3, 1)), np.random.default_rng(3))
         assert model.params.tobytes() == params.tobytes()
 
+    @staticmethod
+    def assert_exact_casts(model, stack, scales):
+        """Each stacked layer i is the exact float32 cast of the member's
+        weights and bias times scales[i]."""
+        for i, scale in enumerate(scales):
+            for s, e in enumerate(stack.members):
+                member = model.members[e]
+                assert np.array_equal(
+                    stack.weights[i][s],
+                    (member.weights[i].T * scale).astype(np.float32))
+                assert np.array_equal(
+                    stack.biases[i][s, 0],
+                    (member.biases[i] * scale).astype(np.float32))
+
     def test_stacks_are_views_of_the_arena(self):
         model = GaussianMLPEnsemble(3, 2, ensemble_size=3, num_layers=3,
                                     hid_size=4, rng=np.random.default_rng(0))
@@ -1092,9 +1160,18 @@ class TestStackedForward:
         assert stack.members == (2, 0)
         assert {a.dtype for a in stack.weights + stack.biases} == {
             np.dtype(np.float32)}
-        assert np.array_equal(stack.weights[1][0],
-                              model.members[2].weights[1].T.astype(np.float32))
+        # a SiLU stack's hidden layers hold half the member's weights and
+        # bias (for the activation's z / 2 form), its output layer the
+        # member's own
+        self.assert_exact_casts(model, stack, (0.5, 0.5, 1.0))
         assert not np.shares_memory(stack.weights[0], model.params)
+
+    def test_relu_stack_is_the_exact_cast(self):
+        model = GaussianMLPEnsemble(3, 2, ensemble_size=3, num_layers=3,
+                                    hid_size=4, activation="relu",
+                                    rng=np.random.default_rng(0))
+        self.assert_exact_casts(model, model.stack_members([2, 0]),
+                                (1.0, 1.0, 1.0))
 
     def test_mismatches_rejected(self):
         model = GaussianMLPEnsemble(3, 2, ensemble_size=3, num_layers=2,

@@ -5,8 +5,7 @@ import pytest
 from scipy.special import expit
 
 from mbrlkit.nets import (AdamState, DenseNet, load_arrays, param_count,
-                          relu, save_arrays, sigmoid, silu, silu_grad,
-                          softplus, softplus_split)
+                          relu, save_arrays, sigmoid, silu, silu_grad)
 
 
 def finite_diff(f, flat, h=1e-5):
@@ -167,18 +166,6 @@ class TestSiLUKernel:
         assert net._cache is None
         assert np.array_equal(lean, net.forward(x, cache=True))
         assert np.array_equal(x, x_before)
-
-
-class TestSoftplusSplit:
-    def test_within_two_ulps_of_softplus(self):
-        # the planning path's softplus against the logaddexp one that
-        # training keeps
-        x = np.linspace(-800.0, 800.0, 1_600_001)
-        exact, split = softplus(x), softplus_split(x)
-        ulps = np.abs(split - exact) / np.spacing(
-            np.maximum(np.abs(exact), np.abs(split)))
-        assert ulps.max() <= 2.0
-        assert np.array_equal(split[x < -750.0], np.zeros((x < -750.0).sum()))
 
 
 class TestForwardPrecision:
