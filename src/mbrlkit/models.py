@@ -6,14 +6,16 @@ Training minimizes Gaussian NLL (or MSE for deterministic ensembles) with
 each member fit on its own bootstrap resample.
 
 Loss conventions: the standalone `mse_loss` / `gaussian_nll_loss` functions
-sum over samples. The trainer uses the per-batch mean of the same quantities
-for optimizer stability; the two differ only by a constant factor.
+sum over samples. Training minimizes the sum over members of each member's
+per-batch mean of the same quantity, plus, when probabilistic,
+LOGVAR_BOUND_REG * (sum(max_logvar) - sum(min_logvar)).
 """
 
 from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,8 +23,9 @@ import numpy as np
 from .data import (Normalizer, TransitionBatch, TransitionIterator,
                    ValidationError)
 from .fileio import replace_on_success
-from .nets import (BUFFERED_ACTIVATIONS, AdamState, DenseNet, layer_views,
-                   load_arrays, param_count, save_arrays, sigmoid, softplus)
+from .nets import (BUFFERED_ACTIVATIONS, AdamState, DenseNet, _logistic,
+                   layer_views, load_arrays, param_count, save_arrays, sigmoid,
+                   softplus)
 
 LOGVAR_BOUND_REG = 0.01
 MIN_LOGVAR_INIT = -10.0
@@ -73,10 +76,11 @@ class GaussianMLPEnsemble:
     `layer_weights[i]` (E, out, in) and `layer_biases[i]` (E, out) view
     layer i of every member at once, strided by the member block size.
 
-    Training, scoring and every float64 forward run one member at a time.
-    Float32 planning runs `stacked_forward`: each layer is one matmul over
-    a `MemberStack`, a float32 copy of some members' parameters. Planning
-    draws its noise with the bounded variance in closed form (`_variance`).
+    Training runs all members at once, in float64 (`update`). Scoring and
+    every float64 forward run one member at a time. Float32 planning runs
+    `stacked_forward`: each layer is one matmul over a `MemberStack`, a
+    float32 copy of some members' parameters. Planning draws its noise
+    with the bounded variance in closed form (`_variance`).
     """
 
     def __init__(self, in_size: int, out_size: int, ensemble_size: int = 1,
@@ -114,8 +118,9 @@ class GaussianMLPEnsemble:
         self._trained = self.params[:end] if deterministic else self.params
         # gradients, laid out like params and written in place every step
         self._grads = np.zeros_like(self.params)
-        self._member_grads = tuple(self._grads[e * n:(e + 1) * n]
-                                   for e in range(self.ensemble_size))
+        self._grad_weights, self._grad_biases = layer_views(
+            self.layer_sizes, self._grads[:end].reshape(self.ensemble_size, n))
+        self._work = None  # update's work arrays while kept
         self.elite_indices = list(range(ensemble_size))
 
     def set_elite(self, indices) -> None:
@@ -292,42 +297,6 @@ class GaussianMLPEnsemble:
 
     # --- training -----------------------------------------------------------
 
-    def member_loss_and_grads(self, e: int, x: np.ndarray, target: np.ndarray):
-        """Mean-per-batch loss of member e plus gradients for its parameters.
-
-        Returns (loss, member_param_grads, d_min_logvar, d_max_logvar); the
-        member's gradients (w0, b0, w1, b1, ...) are views into its block of
-        the ensemble's gradient vector, overwritten by the next call for
-        member e. The bound gradients exclude the bound regularizer, which
-        `update` adds once per call.
-        """
-        member = self.members[e]
-        b = x.shape[0]
-        out = member.forward(x, cache=True)
-        if self.deterministic:
-            mu = out
-            err = mu - target
-            loss = float(np.sum(err ** 2)) / b
-            upstream = 2.0 * err / b
-            d_min = d_max = None
-        else:
-            mu = out[:, :self.out_size]
-            raw = out[:, self.out_size:]
-            logvar, (sig_max, sig_min) = self._bound_logvar(raw, grads=True)
-            err = mu - target
-            inv_var = np.exp(-logvar)
-            loss = float(np.sum(err ** 2 * inv_var + logvar)) / b
-            d_mu = 2.0 * err * inv_var / b
-            d_lv = (1.0 - err ** 2 * inv_var) / b
-            d_raw = d_lv * sig_min * sig_max
-            d_max = (d_lv * sig_min * (1.0 - sig_max)).sum(axis=0)
-            d_min = (d_lv * (1.0 - sig_min)).sum(axis=0)
-            upstream = np.concatenate([d_mu, d_raw], axis=1)
-        w_grads, b_grads, _ = member.backward(
-            upstream, out=self._member_grads[e])
-        grads = [g for pair in zip(w_grads, b_grads) for g in pair]
-        return loss, grads, d_min, d_max
-
     def _per_member_views(self, x, target):
         x = np.asarray(x, dtype=np.float64)
         target = np.asarray(target, dtype=np.float64)
@@ -339,43 +308,107 @@ class GaussianMLPEnsemble:
             raise ValidationError("ensemble axis does not match ensemble size")
         return x, target
 
+    @contextmanager
+    def keep_work_arrays(self):
+        """Keep `update`'s work arrays, sized for the most rows yet, until
+        the block exits; outside one, each call makes its own."""
+        self._work = []
+        try:
+            yield
+        finally:
+            self._work = None
+
     def update(self, x: np.ndarray, target: np.ndarray,
                optimizer: AdamState) -> np.ndarray:
         """One gradient step; each member sees only its own rows.
 
         x/target carry an ensemble axis (E, B, ...). Returns per-member
-        losses. Aborts (raises) when a loss or gradient is non-finite.
+        losses. Raises, before any parameter changes, when a gradient or a
+        loss is non-finite, naming the first such member for a loss.
+
+        One stacked pass, each layer one matmul over all members, gives
+        each member's loss and gradients bit for bit as its DenseNet
+        forward(cache=True) and backward would. Its work arrays, each
+        (E, B, hidden), are the hidden layers' outputs, SiLU's derivatives
+        (from the forward's logistic) and two scratch arrays.
         """
         x, target = self._per_member_views(x, target)
-        losses = np.empty(self.ensemble_size)
-        bounds = self._grads[-2 * self.out_size:]
-        bounds[...] = 0.0
-        d_min_total, d_max_total = np.split(bounds, 2)
-        for e in range(self.ensemble_size):
-            loss, _, d_min, d_max = self.member_loss_and_grads(
-                e, x[e], target[e])
-            if not np.isfinite(loss):
-                raise FloatingPointError(
-                    f"non-finite training loss for member {e}")
-            losses[e] = loss
-            if d_min is not None:
-                d_min_total += d_min
-                d_max_total += d_max
-        if not self.deterministic:
-            d_min_total -= LOGVAR_BOUND_REG
-            d_max_total += LOGVAR_BOUND_REG
+        e, d, b = self.ensemble_size, self.out_size, x.shape[1]
+        n = len(self.layer_sizes) - 2
+        k = n if self.activation == "silu" else 0
+        size = e * b * self.layer_sizes[1]
+        kept = [] if self._work is None else self._work
+        if not kept or kept[0].size < size:
+            # rows of one block: freed, it lifts glibc's mmap threshold over
+            # the planning buffers, which then reuse pages, not fault anew
+            kept[:] = np.empty((n + k + 2, size))
+        work = [a[:size].reshape(e, b, -1) for a in kept]
+        outs, derivs, scratch = work[:n], work[n:n + k], work[n + k:]
+        last = len(self.layer_weights) - 1
+        h = x
+        for i in range(last):
+            w = self.layer_weights[i].transpose(0, 2, 1)
+            if derivs:
+                z = np.matmul(h, w, out=derivs[i])
+                z += self.layer_biases[i][:, None]
+                s = _logistic(z, out=scratch[0])
+                h = np.multiply(z, s, out=outs[i])
+                # silu'(z) = s * (1 + z * (1 - s)), over z
+                z *= np.subtract(1.0, s, out=scratch[1])
+                z += 1.0
+                z *= s
+            else:
+                h = np.matmul(h, w, out=outs[i])
+                h += self.layer_biases[i][:, None]
+                np.maximum(h, 0.0, out=h)
+        out = np.matmul(h, self.layer_weights[last].transpose(0, 2, 1))
+        out += self.layer_biases[last][:, None]
+        if self.deterministic:
+            err = out - target
+            losses = np.sum((err ** 2).reshape(e, -1), axis=1) / b
+            g = 2.0 * err / b
+        else:
+            logvar, (sig_max, sig_min) = self._bound_logvar(out[..., d:],
+                                                            grads=True)
+            err = out[..., :d] - target
+            inv_var = np.exp(-logvar)
+            sq = err ** 2 * inv_var
+            losses = np.sum((sq + logvar).reshape(e, -1), axis=1) / b
+            d_lv = (1.0 - sq) / b
+            g = np.concatenate([2.0 * err * inv_var / b,
+                                d_lv * sig_min * sig_max], axis=-1)
+            # the bound gradients, summed over rows, then over members
+            d_min, d_max = np.split(self._grads[-2 * d:], 2)
+            np.sum((d_lv * (1.0 - sig_min)).sum(axis=1), axis=0, out=d_min)
+            np.sum((d_lv * sig_min * (1.0 - sig_max)).sum(axis=1), axis=0,
+                   out=d_max)
+            d_min -= LOGVAR_BOUND_REG
+            d_max += LOGVAR_BOUND_REG
+        bad = ~np.isfinite(losses)
+        if bad.any():
+            raise FloatingPointError(
+                f"non-finite training loss for member {bad.argmax()}")
+        for i in range(last, -1, -1):
+            if i < last:
+                g *= derivs[i] if derivs else outs[i] > 0.0
+            np.matmul(g.transpose(0, 2, 1), outs[i - 1] if i else x,
+                      out=self._grad_weights[i])
+            np.sum(g, axis=1, out=self._grad_biases[i])
+            if i:
+                g = np.matmul(g, self.layer_weights[i], out=scratch[i % 2])
         optimizer.step(self._trained, self._grads[:self._trained.size])
         return losses
 
     def eval_score(self, x: np.ndarray, target: np.ndarray) -> np.ndarray:
         """Per-member, per-dimension MSE of the mean prediction.
 
-        Every member is scored on the same rows (no bootstrapping); no
-        parameters are mutated.
+        Every member is scored on the same rows (no bootstrapping) by its
+        mean head alone; no parameters are mutated.
         """
         x = np.asarray(x, dtype=np.float64)
         target = np.asarray(target, dtype=np.float64)
-        mean, _ = self.forward(x)
+        mean = np.stack([m.forward(x)[:, :self.out_size]
+                         for m in self.members])
         return ((mean - target[None]) ** 2).mean(axis=1)
 
 
@@ -688,31 +721,32 @@ class ModelTrainer:
         best_snapshot = None
         best_elites = list(model.elite_indices)
         epochs_since_improvement = 0
-        for epoch in range(1, num_epochs + 1):
-            epoch_losses = []
-            for batch in train_iter:
-                losses = self.wrapper.update(batch, optimizer)
-                epoch_losses.append(losses.mean())
-            report.train_losses.append(float(np.mean(epoch_losses)))
-            scores = self._evaluate(eval_iter)
-            report.val_scores.append(scores)
-            order = np.argsort(scores, kind="stable")
-            elites = order[:self.elite_count].tolist()
-            mean_elite = float(scores[elites].mean())
-            improved = (best_snapshot is None or
-                        report.best_score - mean_elite
-                        > self.improvement_threshold * abs(report.best_score))
-            if improved:
-                best_snapshot = model.get_flat()
-                best_elites = elites
-                report.best_epoch = epoch
-                report.best_score = mean_elite
-                epochs_since_improvement = 0
-            else:
-                epochs_since_improvement += 1
-                if epochs_since_improvement >= patience:
-                    report.stopped_early = True
-                    break
+        with model.keep_work_arrays():
+            for epoch in range(1, num_epochs + 1):
+                epoch_losses = []
+                for batch in train_iter:
+                    losses = self.wrapper.update(batch, optimizer)
+                    epoch_losses.append(losses.mean())
+                report.train_losses.append(float(np.mean(epoch_losses)))
+                scores = self._evaluate(eval_iter)
+                report.val_scores.append(scores)
+                order = np.argsort(scores, kind="stable")
+                elites = order[:self.elite_count].tolist()
+                mean_elite = float(scores[elites].mean())
+                threshold = self.improvement_threshold * abs(report.best_score)
+                improved = (best_snapshot is None
+                            or report.best_score - mean_elite > threshold)
+                if improved:
+                    best_snapshot = model.get_flat()
+                    best_elites = elites
+                    report.best_epoch = epoch
+                    report.best_score = mean_elite
+                    epochs_since_improvement = 0
+                else:
+                    epochs_since_improvement += 1
+                    if epochs_since_improvement >= patience:
+                        report.stopped_early = True
+                        break
         if best_snapshot is not None:
             model.set_flat(best_snapshot)
         model.set_elite(best_elites)

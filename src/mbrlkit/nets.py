@@ -2,13 +2,14 @@
 
 Parameters live in one float64 vector, with weights and biases as views
 into it. Parameters, gradients, training, checkpoints and the forward are
-float64. Float32 planning rollouts do not call the forward: they run one
-stacked float32 forward over an ensemble's members
+float64. Training does not go through `DenseNet`: it runs one stacked
+pass over an ensemble's members (`GaussianMLPEnsemble.update`). Nor do
+float32 planning rollouts: they run one stacked float32 forward
 (`GaussianMLPEnsemble.stacked_forward`), with the activations of
 `BUFFERED_ACTIVATIONS`; a stacked SiLU layer holds half its weights and
-bias, and its activation takes z / 2. The backward pass is written for the
-fixed affine/activation architecture used by the Gaussian MLPs; correctness
-is anchored to central finite differences in the test suite.
+bias, and its activation takes z / 2. `forward(cache=True)` and `backward`
+are the one-network reference: tests anchor them to central finite
+differences and check the stacked training pass against them bit for bit.
 """
 
 from __future__ import annotations
@@ -33,14 +34,17 @@ def softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
-def _logistic(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)) on numpy's vectorized exp, ~3x faster than expit.
+def _logistic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-x)) on numpy's vectorized exp, ~3x faster than expit,
+    written into out (x's shape; allocated when None).
 
     Below x = -709.78 exp(-x) overflows to inf and the result is 0, as with
     expit; that overflow is expected, so it is not reported.
     """
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        out = np.exp(np.negative(x, out=out), out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def silu(x: np.ndarray) -> np.ndarray:
@@ -206,6 +210,8 @@ class DenseNet:
         gradients are written into `out`, a vector laid out like `params`
         (allocated when None). Returns (weight_grads, bias_grads,
         input_grad), the first two as lists of views into that vector.
+        The reference for `GaussianMLPEnsemble.update`, which trains
+        without it.
         """
         if self._cache is None:
             raise RuntimeError("backward called without a cached forward pass")

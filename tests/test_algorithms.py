@@ -7,7 +7,7 @@ from mbrlkit.algorithms import (LearningCurve, PETSConfig, build_wrapper,
 from mbrlkit.data import ReplayBuffer, ValidationError
 from mbrlkit.envs import EnvSpec, no_termination
 from mbrlkit.models import GaussianMLPEnsemble, ModelTrainer
-from mbrlkit.nets import DenseNet, load_arrays
+from mbrlkit.nets import AdamState, DenseNet, load_arrays
 from mbrlkit.planning import CEMConfig, RandomAgent
 
 
@@ -188,6 +188,7 @@ class TestPETSRun:
         seen = set()
         real_forward = DenseNet.forward
         real_stacked = GaussianMLPEnsemble.stacked_forward
+        real_step = AdamState.step
 
         def spy(net, x, cache=False):
             out = real_forward(net, x, cache)
@@ -199,13 +200,18 @@ class TestPETSRun:
             seen.add((False, out.dtype.name))
             return out
 
+        def step_spy(optimizer, params, grads):
+            seen.add(("step", params.dtype.name, grads.dtype.name))
+            real_step(optimizer, params, grads)
+
         monkeypatch.setattr(DenseNet, "forward", spy)
         monkeypatch.setattr(GaussianMLPEnsemble, "stacked_forward",
                             stacked_spy)
+        monkeypatch.setattr(AdamState, "step", step_spy)
         pets_run(small_cfg(deterministic=False), out_dir=tmp_path)
-        # training steps (cache) and elite scoring run in float64, the
-        # planning rollouts in float32
-        assert seen == {(True, "float64"), (False, "float64"),
+        # training steps and elite scoring run in float64, the planning
+        # rollouts in float32
+        assert seen == {("step", "float64", "float64"), (False, "float64"),
                         (False, "float32")}
         arrays, _ = load_arrays(tmp_path / "model.ckpt.npz")
         assert arrays and all(a.dtype == np.float64 for a in arrays.values())

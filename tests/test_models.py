@@ -16,7 +16,7 @@ from mbrlkit.models import (LOGVAR_BOUND_REG, GaussianMLPEnsemble,
                             load_model, mse_loss, save_model)
 from mbrlkit import envs
 from mbrlkit.nets import (AdamState, DenseNet, _silu_buffered, load_arrays,
-                          save_arrays, silu)
+                          save_arrays, sigmoid, silu, softplus)
 from mbrlkit.envs import no_termination
 
 
@@ -313,6 +313,41 @@ class TestWrapperSample:
         assert np.array_equal(a, b)
 
 
+def member_reference(model, e, x, target):
+    """Member e's mean-per-batch loss and gradients, computed apart from
+    `update`: the member's own DenseNet forward(cache=True) and backward,
+    with the double-softplus bound and its gradients written out here.
+
+    Returns (loss, parameter grads w0, b0, w1, b1, ..., d_min, d_max); the
+    bound gradients are None when deterministic and exclude the bound
+    regularizer."""
+    member = model.members[e]
+    b, d = x.shape[0], model.out_size
+    out = member.forward(x, cache=True)
+    if model.deterministic:
+        err = out - target
+        loss = float(np.sum(err ** 2)) / b
+        upstream = 2.0 * err / b
+        d_min = d_max = None
+    else:
+        lo, hi, raw = model.min_logvar, model.max_logvar, out[:, d:]
+        capped = hi - softplus(hi - raw)
+        logvar = lo + softplus(capped - lo)
+        sig_max = sigmoid(hi - raw)
+        sig_min = sigmoid(capped - lo)
+        err = out[:, :d] - target
+        inv_var = np.exp(-logvar)
+        loss = float(np.sum(err ** 2 * inv_var + logvar)) / b
+        d_lv = (1.0 - err ** 2 * inv_var) / b
+        upstream = np.concatenate(
+            [2.0 * err * inv_var / b, d_lv * sig_min * sig_max], axis=1)
+        d_max = (d_lv * sig_min * (1.0 - sig_max)).sum(axis=0)
+        d_min = (d_lv * (1.0 - sig_min)).sum(axis=0)
+    w_grads, b_grads, _ = member.backward(upstream)
+    grads = [g for pair in zip(w_grads, b_grads) for g in pair]
+    return loss, grads, d_min, d_max
+
+
 class TestUpdateAndScore:
     def test_identical_members_stay_identical(self):
         rng = np.random.default_rng(0)
@@ -337,7 +372,7 @@ class TestUpdateAndScore:
         opt = AdamState(lr=1e-3)
 
         def loss():  # the members' mean loss, parameters left as they are
-            return np.mean([model.member_loss_and_grads(e, x, t)[0]
+            return np.mean([member_reference(model, e, x, t)[0]
                             for e in range(model.ensemble_size)])
 
         initial = loss()
@@ -388,6 +423,22 @@ class TestUpdateAndScore:
         scores = np.array([0.3, 0.1, 0.2])
         elites = np.argsort(scores, kind="stable")[:2].tolist()
         assert set(elites) == {1, 2}
+
+    def test_eval_score_reads_the_mean_head_only(self):
+        """Scores are the mean head's MSE from the members' forwards, bit
+        for bit, and the log-variance head is not bounded for them: NaN
+        bounds change nothing and warn of nothing."""
+        rng = np.random.default_rng(4)
+        m = GaussianMLPEnsemble(3, 2, ensemble_size=3, num_layers=3,
+                                hid_size=8, rng=rng)
+        x = rng.standard_normal((40, 3))
+        t = rng.standard_normal((40, 2))
+        mean, _ = m.forward(x)
+        expected = ((mean - t[None]) ** 2).mean(axis=1)
+        assert np.array_equal(m.eval_score(x, t), expected)
+        m.min_logvar[...] = np.nan
+        m.max_logvar[...] = np.nan
+        assert np.array_equal(m.eval_score(x, t), expected)
 
     def test_eval_score_does_not_mutate(self):
         m = GaussianMLPEnsemble(2, 1, ensemble_size=2, num_layers=2,
@@ -1279,7 +1330,7 @@ def reference_update(model, x, target, state, lr):
     d_min = np.zeros(model.out_size)
     d_max = np.zeros(model.out_size)
     for e, member in enumerate(model.members):
-        _, g, dm, dx = model.member_loss_and_grads(e, x[e], target[e])
+        _, g, dm, dx = member_reference(model, e, x[e], target[e])
         params += [p for pair in zip(member.weights, member.biases)
                    for p in pair]
         grads += g
@@ -1395,3 +1446,180 @@ class TestParameterArena:
             assert grads.shape == params.shape
             assert grads.ctypes.data == first.ctypes.data
             assert not np.shares_memory(grads, model.params)
+
+
+def held_arrays(model):
+    """The arrays that the ensemble and its members hold, through
+    attributes, dicts, lists and tuples, other than views of its parameter
+    and gradient vectors."""
+    found, todo = [], [vars(model)] + [vars(m) for m in model.members]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, dict):
+            todo.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            todo.extend(item)
+        elif isinstance(item, np.ndarray) and not (
+                np.shares_memory(item, model.params)
+                or np.shares_memory(item, model._grads)):
+            found.append(item)
+    return found
+
+
+class Recording(AdamState):
+    """Adam that keeps a copy of the parameters and of the gradient vector
+    it is handed at each step."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.seen = []
+
+    def step(self, params, grads):
+        self.seen.append((params.copy(), grads.copy()))
+        super().step(params, grads)
+
+
+def central_differences(f, flat, h=1e-5):
+    grad = np.empty_like(flat)
+    for i in range(flat.size):
+        up, down = flat.copy(), flat.copy()
+        up[i] += h
+        down[i] -= h
+        grad[i] = (f(up) - f(down)) / (2 * h)
+    return grad
+
+
+class TestStackedUpdate:
+    """`update` runs every member in one stacked pass; each member's
+    gradient is that of its own loss, and the pass's work arrays live no
+    longer than one `ModelTrainer.train` call."""
+
+    @pytest.mark.parametrize("deterministic", [True, False])
+    @pytest.mark.parametrize("activation", ["relu", "silu"])
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    @pytest.mark.parametrize("ensemble_size", [1, 2, 3])
+    def test_gradient_matches_central_differences(
+            self, ensemble_size, num_layers, activation, deterministic):
+        """The vector handed to Adam is the gradient of the members' summed
+        mean losses plus the bound regularizer, for a full batch (8 rows)
+        and then a short last batch (3 rows)."""
+        seed = 100 * ensemble_size + 10 * num_layers + deterministic
+        rng = np.random.default_rng(seed)
+        model = GaussianMLPEnsemble(
+            3, 2, ensemble_size=ensemble_size, num_layers=num_layers,
+            hid_size=4, activation=activation, deterministic=deterministic,
+            rng=rng)
+        # nonzero biases: with zero ones a row whose units are all off puts
+        # the next layer exactly on ReLU's kink, where differences halve
+        for bias in model.layer_biases:
+            bias[...] = rng.normal(scale=0.1, size=bias.shape)
+        # bounds inside the usual range, so that both softplus terms bend
+        model.min_logvar[...] = [-1.0, -0.5]
+        model.max_logvar[...] = [0.5, 1.0]
+        optimizer = Recording(lr=1e-2)
+        batches = [(rng.standard_normal((ensemble_size, b, 3)),
+                    rng.standard_normal((ensemble_size, b, 2)))
+                   for b in (8, 3)]
+        with model.keep_work_arrays():
+            for x, target in batches:
+                model.update(x, target, optimizer)
+        loss_fn = mse_loss if deterministic else gaussian_nll_loss
+        for (x, target), (params, analytic) in zip(batches, optimizer.seen):
+
+            def objective(flat):
+                model.set_flat(flat)
+                mean, logvar = model.forward(x)
+                heads = (mean,) if deterministic else (mean, logvar)
+                total = sum(loss_fn(*(h[e] for h in heads), target[e])
+                            for e in range(ensemble_size)) / x.shape[1]
+                if not deterministic:
+                    total += LOGVAR_BOUND_REG * (model.max_logvar.sum()
+                                                 - model.min_logvar.sum())
+                return total
+
+            numeric = central_differences(objective, params)
+            denom = np.maximum(np.abs(numeric) + np.abs(analytic), 1e-3)
+            assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
+
+    @pytest.mark.parametrize("deterministic", [True, False])
+    @pytest.mark.parametrize("activation", ["relu", "silu"])
+    @pytest.mark.parametrize("ensemble_size", [1, 2, 3])
+    def test_no_hidden_layer_matches_reference(self, ensemble_size,
+                                               activation, deterministic):
+        """num_layers=1 (one affine layer a member), which `arena_cases`
+        does not draw: bit for bit the per-array reference."""
+        case = {"ensemble_size": ensemble_size, "num_layers": 1,
+                "hid_size": 4, "activation": activation,
+                "deterministic": deterministic, "seed": 7}
+        model, reference = arena_model(case), arena_model(case)
+        rng = np.random.default_rng(8)
+        optimizer = AdamState(lr=1e-2)
+        state = {"m": [], "v": [], "t": 0}
+        for rows in (8, 8, 3):
+            x = rng.standard_normal((ensemble_size, rows, 3))
+            target = rng.standard_normal((ensemble_size, rows, 2))
+            losses = model.update(x, target, optimizer)
+            assert np.array_equal(
+                losses, [member_reference(reference, e, x[e], target[e])[0]
+                         for e in range(ensemble_size)])
+            reference_update(reference, x, target, state, lr=1e-2)
+            assert np.array_equal(model.params, reference.params)
+
+    @pytest.mark.parametrize("deterministic", [True, False])
+    def test_non_finite_loss_raises_and_changes_nothing(self, deterministic):
+        """A non-finite loss names the first such member, and the
+        parameters, Adam's moments and its step count stay as they were."""
+        model = GaussianMLPEnsemble(3, 2, ensemble_size=3, num_layers=3,
+                                    hid_size=4, deterministic=deterministic,
+                                    rng=np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((3, 8, 3))
+        target = rng.standard_normal((3, 8, 2))
+        optimizer = AdamState(lr=1e-2)
+        model.update(x, target, optimizer)
+        params = model.params.copy()
+        m, v = optimizer.m.copy(), optimizer.v.copy()
+        x[1, 5, 0] = np.nan
+        x[2, 0, 2] = np.nan
+        # NaN through the bounds' logaddexp is expected here, not reported
+        with pytest.raises(FloatingPointError, match="member 1$"), \
+                np.errstate(invalid="ignore"):
+            model.update(x, target, optimizer)
+        assert np.array_equal(model.params, params)
+        assert np.array_equal(optimizer.m, m)
+        assert np.array_equal(optimizer.v, v)
+        assert optimizer.step_count == 1
+
+    @pytest.mark.parametrize("activation", ["relu", "silu"])
+    def test_work_arrays_end_with_train(self, activation):
+        """The ensemble holds the stacked pass's work arrays while
+        `ModelTrainer.train` runs, one set for every batch size, and none
+        after it returns; `update` outside `train` still works and keeps
+        nothing."""
+        rng = np.random.default_rng(3)
+        model = GaussianMLPEnsemble(3, 2, ensemble_size=2, num_layers=3,
+                                    hid_size=4, activation=activation,
+                                    rng=rng)
+        wrapper = TransitionRewardWrapper(model, 2, 1)
+        batch = linear_system_batch(rng, 20)
+        wrapper.update_normalizer(batch)
+        held = []  # arrays held as each training step starts
+
+        def update(batch, optimizer):
+            held.append(len(held_arrays(model)))
+            return TransitionRewardWrapper.update(wrapper, batch, optimizer)
+
+        wrapper.update = update
+        ModelTrainer(wrapper).train(BootstrapIterator(batch, 8, 2, rng),
+                                    num_epochs=2, patience=2)
+        # 8, 8 and 4 rows an epoch: the first step makes the one set, and
+        # the 4-row steps use the start of it
+        assert held[1] > 0
+        assert held == [0] + [held[1]] * 5
+        assert held_arrays(model) == []
+        del wrapper.update
+        x, target = wrapper.process_batch(batch)
+        losses = model.update(np.stack([x, x]), np.stack([target, target]),
+                              AdamState())
+        assert np.all(np.isfinite(losses))
+        assert held_arrays(model) == []
