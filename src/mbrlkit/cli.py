@@ -21,6 +21,16 @@ from .models import ModelEnv, load_model
 from .planning import create_mpc_agent
 
 
+def _count(text: str) -> int:
+    """An argparse type: an integer >= 1, else exit 2 naming the flag."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mbrlkit",
@@ -43,16 +53,16 @@ def build_parser() -> argparse.ArgumentParser:
                            help="compare model rollouts against the true env")
     p_vis.add_argument("--config", required=True, type=pathlib.Path)
     p_vis.add_argument("--model", required=True, type=pathlib.Path)
-    p_vis.add_argument("--horizon", type=int, default=30)
-    p_vis.add_argument("--samples", type=int, default=3)
+    p_vis.add_argument("--horizon", type=_count, default=30)
+    p_vis.add_argument("--samples", type=_count, default=3)
     p_vis.add_argument("--seed", type=int, default=0)
     p_vis.add_argument("--out", type=pathlib.Path, default=pathlib.Path("vis"))
 
     p_ctrl = sub.add_parser("true-env-control",
                             help="CEM control on the true environment")
     p_ctrl.add_argument("--config", required=True, type=pathlib.Path)
-    p_ctrl.add_argument("--horizon", type=int, default=25)
-    p_ctrl.add_argument("--episodes", type=int, default=1)
+    p_ctrl.add_argument("--horizon", type=_count, default=25)
+    p_ctrl.add_argument("--episodes", type=_count, default=1)
     p_ctrl.add_argument("--seed", type=int, default=0)
     p_ctrl.add_argument("--out", type=pathlib.Path, default=pathlib.Path("ctrl"))
     return parser

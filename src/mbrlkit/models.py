@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,9 +22,8 @@ import numpy as np
 from .data import (Normalizer, TransitionBatch, TransitionIterator,
                    ValidationError)
 from .fileio import replace_on_success
-from .nets import (BUFFERED_ACTIVATIONS, AdamState, DenseNet, _logistic,
-                   layer_views, load_arrays, param_count, save_arrays, sigmoid,
-                   softplus)
+from .nets import (BUFFERED_ACTIVATIONS, AdamState, DenseNet, load_arrays,
+                   param_count, save_arrays, sigmoid, softplus)
 
 LOGVAR_BOUND_REG = 0.01
 MIN_LOGVAR_INIT = -10.0
@@ -70,17 +68,20 @@ class GaussianMLPEnsemble:
 
     All parameters live in one zero-initialised float64 vector, `params`,
     member-major: member 0's w0, b0, w1, b1, ..., then each later member's,
-    then min_logvar and max_logvar. Each member is a DenseNet built on its
-    block, and the bounds are views, so the optimizer, `get_flat`/`set_flat`
-    and checkpoints all read and write the one vector. `members` is a tuple.
-    `layer_weights[i]` (E, out, in) and `layer_biases[i]` (E, out) view
-    layer i of every member at once, strided by the member block size.
+    then min_logvar and max_logvar. `net` is one DenseNet over the members'
+    blocks, an (E, n) view: its `weights[i]` (E, out, in) and `biases[i]`
+    (E, out) view layer i of every member at once. The bounds are views
+    too, so the optimizer, `get_flat`/`set_flat` and checkpoints all read
+    and write the one vector. `members` is a tuple of per-member DenseNet
+    views of the same blocks.
 
-    Training runs all members at once, in float64 (`update`). Scoring and
-    every float64 forward run one member at a time. Float32 planning runs
-    `stacked_forward`: each layer is one matmul over a `MemberStack`, a
-    float32 copy of some members' parameters. Planning draws its noise
-    with the bounded variance in closed form (`_variance`).
+    Training (`update`), scoring (`eval_score`) and `forward` are each one
+    float64 pass of `net`, one matmul per layer over all members; training
+    and scoring run in the net's kept work arrays while `ModelTrainer.train`
+    runs. A float64 `grouped_forward` runs each member on its own rows.
+    Float32 planning runs `stacked_forward`: each layer is one matmul over
+    a `MemberStack`, a float32 copy of some members' parameters. Planning
+    draws its noise with the bounded variance in closed form (`_variance`).
     """
 
     def __init__(self, in_size: int, out_size: int, ensemble_size: int = 1,
@@ -102,13 +103,12 @@ class GaussianMLPEnsemble:
         n = param_count(self.layer_sizes)
         end = self.ensemble_size * n
         self.params = np.zeros(end + 2 * self.out_size)
-        self.members = tuple(
-            DenseNet(self.layer_sizes, activation, rng,
-                     params=self.params[e * n:(e + 1) * n])
-            for e in range(self.ensemble_size))
-        blocks = self.params[:end].reshape(self.ensemble_size, n)
-        weights, biases = layer_views(self.layer_sizes, blocks)
-        self.layer_weights, self.layer_biases = tuple(weights), tuple(biases)
+        # the net checks the activation and draws each member's weights
+        self.net = DenseNet(
+            self.layer_sizes, activation, rng,
+            params=self.params[:end].reshape(self.ensemble_size, n))
+        self.members = tuple(self.net.member(e)
+                             for e in range(self.ensemble_size))
         self._act_buffered, self._act_scale = BUFFERED_ACTIVATIONS[activation]
         self.min_logvar = self.params[end:end + self.out_size]
         self.max_logvar = self.params[end + self.out_size:]
@@ -118,9 +118,7 @@ class GaussianMLPEnsemble:
         self._trained = self.params[:end] if deterministic else self.params
         # gradients, laid out like params and written in place every step
         self._grads = np.zeros_like(self.params)
-        self._grad_weights, self._grad_biases = layer_views(
-            self.layer_sizes, self._grads[:end].reshape(self.ensemble_size, n))
-        self._work = None  # update's work arrays while kept
+        self._net_grads = self._grads[:end].reshape(self.ensemble_size, n)
         self.elite_indices = list(range(ensemble_size))
 
     def set_elite(self, indices) -> None:
@@ -171,15 +169,6 @@ class GaussianMLPEnsemble:
         var += np.exp(self.min_logvar)
         return var
 
-    def member_forward(self, e: int, x: np.ndarray):
-        """Member e's float64 heads for x (B, in): (mean, logvar), each
-        (B, out); logvar is None when deterministic."""
-        out = self.members[e].forward(x)
-        if self.deterministic:
-            return out, None
-        return (out[:, :self.out_size],
-                self._bound_logvar(out[:, self.out_size:])[0])
-
     def stack_members(self, members,
                       normalizer: Normalizer | None = None) -> MemberStack:
         """A float32 copy of the parameters of `members` (distinct
@@ -195,8 +184,8 @@ class GaussianMLPEnsemble:
                 e < 0 or e >= self.ensemble_size for e in members):
             raise ValidationError(f"bad members to stack: {members}")
         pick = list(members)
-        weights = [w[pick].transpose(0, 2, 1) for w in self.layer_weights]
-        biases = [b[pick] for b in self.layer_biases]
+        weights = [w[pick].transpose(0, 2, 1) for w in self.net.weights]
+        biases = [b[pick] for b in self.net.biases]
         if normalizer is not None:
             # out of place, on a C-contiguous copy: how `mean @ W` rounds
             # depends on W's layout
@@ -272,23 +261,17 @@ class GaussianMLPEnsemble:
         return mean, np.sqrt(var, out=var)
 
     def forward(self, x: np.ndarray):
-        """Per-member heads.
+        """Per-member heads, from one forward of the net.
 
-        x is (B, in) (broadcast to all members) or (E, B, in). Returns
+        x is (B, in) (the same rows for all members) or (E, B, in). Returns
         float64 (mean, logvar) with shapes (E, B, out); logvar is None when
         deterministic.
         """
-        x = np.asarray(x)
-        if x.ndim == 2:
-            xs = [x] * self.ensemble_size
-        elif x.ndim == 3 and x.shape[0] == self.ensemble_size:
-            xs = [x[e] for e in range(self.ensemble_size)]
-        else:
-            raise ValidationError(f"bad input shape {x.shape}")
-        means, logvars = zip(*(self.member_forward(e, xe)
-                               for e, xe in enumerate(xs)))
-        return np.stack(means), (None if self.deterministic
-                                 else np.stack(logvars))
+        out = self.net.forward(x)
+        if self.deterministic:
+            return out, None
+        return (out[..., :self.out_size],
+                self._bound_logvar(out[..., self.out_size:])[0])
 
     def ensemble_mean_predict(self, x: np.ndarray) -> np.ndarray:
         """Arithmetic mean of the elite members' mean predictions."""
@@ -297,72 +280,24 @@ class GaussianMLPEnsemble:
 
     # --- training -----------------------------------------------------------
 
-    def _per_member_views(self, x, target):
-        x = np.asarray(x, dtype=np.float64)
-        target = np.asarray(target, dtype=np.float64)
-        if x.ndim == 2:
-            x = np.broadcast_to(x, (self.ensemble_size,) + x.shape)
-        if target.ndim == 2:
-            target = np.broadcast_to(target, (self.ensemble_size,) + target.shape)
-        if x.shape[0] != self.ensemble_size or target.shape[0] != self.ensemble_size:
-            raise ValidationError("ensemble axis does not match ensemble size")
-        return x, target
-
-    @contextmanager
-    def keep_work_arrays(self):
-        """Keep `update`'s work arrays, sized for the most rows yet, until
-        the block exits; outside one, each call makes its own."""
-        self._work = []
-        try:
-            yield
-        finally:
-            self._work = None
-
     def update(self, x: np.ndarray, target: np.ndarray,
                optimizer: AdamState) -> np.ndarray:
         """One gradient step; each member sees only its own rows.
 
-        x/target carry an ensemble axis (E, B, ...). Returns per-member
-        losses. Raises, before any parameter changes, when a gradient or a
-        loss is non-finite, naming the first such member for a loss.
+        x/target carry an ensemble axis (E, B, ...), or are (B, ...), the
+        same rows for every member. Returns per-member losses. Raises,
+        before any parameter changes, when a gradient or a loss is
+        non-finite, naming the first such member for a loss.
 
-        One stacked pass, each layer one matmul over all members, gives
-        each member's loss and gradients bit for bit as its DenseNet
-        forward(cache=True) and backward would. Its work arrays, each
-        (E, B, hidden), are the hidden layers' outputs, SiLU's derivatives
-        (from the forward's logistic) and two scratch arrays.
+        The net's cached forward and its backward run every member at once;
+        this adds the loss heads and the log-variance bounds' gradients.
         """
-        x, target = self._per_member_views(x, target)
-        e, d, b = self.ensemble_size, self.out_size, x.shape[1]
-        n = len(self.layer_sizes) - 2
-        k = n if self.activation == "silu" else 0
-        size = e * b * self.layer_sizes[1]
-        kept = [] if self._work is None else self._work
-        if not kept or kept[0].size < size:
-            # rows of one block: freed, it lifts glibc's mmap threshold over
-            # the planning buffers, which then reuse pages, not fault anew
-            kept[:] = np.empty((n + k + 2, size))
-        work = [a[:size].reshape(e, b, -1) for a in kept]
-        outs, derivs, scratch = work[:n], work[n:n + k], work[n + k:]
-        last = len(self.layer_weights) - 1
-        h = x
-        for i in range(last):
-            w = self.layer_weights[i].transpose(0, 2, 1)
-            if derivs:
-                z = np.matmul(h, w, out=derivs[i])
-                z += self.layer_biases[i][:, None]
-                s = _logistic(z, out=scratch[0])
-                h = np.multiply(z, s, out=outs[i])
-                # silu'(z) = s * (1 + z * (1 - s)), over z
-                z *= np.subtract(1.0, s, out=scratch[1])
-                z += 1.0
-                z *= s
-            else:
-                h = np.matmul(h, w, out=outs[i])
-                h += self.layer_biases[i][:, None]
-                np.maximum(h, 0.0, out=h)
-        out = np.matmul(h, self.layer_weights[last].transpose(0, 2, 1))
-        out += self.layer_biases[last][:, None]
+        x = np.asarray(x, dtype=np.float64)
+        target = np.asarray(target, dtype=np.float64)
+        e, d, b = self.ensemble_size, self.out_size, x.shape[-2]
+        if any(a.ndim == 3 and len(a) != e for a in (x, target)):
+            raise ValidationError("ensemble axis does not match ensemble size")
+        out = self.net.forward(x, cache=True)
         if self.deterministic:
             err = out - target
             losses = np.sum((err ** 2).reshape(e, -1), axis=1) / b
@@ -388,14 +323,7 @@ class GaussianMLPEnsemble:
         if bad.any():
             raise FloatingPointError(
                 f"non-finite training loss for member {bad.argmax()}")
-        for i in range(last, -1, -1):
-            if i < last:
-                g *= derivs[i] if derivs else outs[i] > 0.0
-            np.matmul(g.transpose(0, 2, 1), outs[i - 1] if i else x,
-                      out=self._grad_weights[i])
-            np.sum(g, axis=1, out=self._grad_biases[i])
-            if i:
-                g = np.matmul(g, self.layer_weights[i], out=scratch[i % 2])
+        self.net.backward(g, out=self._net_grads)
         optimizer.step(self._trained, self._grads[:self._trained.size])
         return losses
 
@@ -403,12 +331,11 @@ class GaussianMLPEnsemble:
         """Per-member, per-dimension MSE of the mean prediction.
 
         Every member is scored on the same rows (no bootstrapping) by its
-        mean head alone; no parameters are mutated.
+        mean head alone, in one forward of the net; no parameters are
+        mutated.
         """
-        x = np.asarray(x, dtype=np.float64)
         target = np.asarray(target, dtype=np.float64)
-        mean = np.stack([m.forward(x)[:, :self.out_size]
-                         for m in self.members])
+        mean = self.net.forward(x)[..., :self.out_size]
         return ((mean - target[None]) ** 2).mean(axis=1)
 
 
@@ -587,7 +514,8 @@ class TransitionRewardWrapper:
         and the predictions are float64.
 
         The stack decides the precision of the model forward. Without one,
-        it is float64, member by member on the normalized inputs. With one,
+        it is float64 on the normalized inputs: each member on its own rows,
+        or every member on every row under ensemble_mean. With one,
         which must be the elites' float32 weights with this wrapper's
         normalizer folded in (`ModelEnv.reset` makes it once per rollout),
         it is one float32 `stacked_forward`: the raw (obs, action) rows go
@@ -721,7 +649,7 @@ class ModelTrainer:
         best_snapshot = None
         best_elites = list(model.elite_indices)
         epochs_since_improvement = 0
-        with model.keep_work_arrays():
+        with model.net.keep_work_arrays():
             for epoch in range(1, num_epochs + 1):
                 epoch_losses = []
                 for batch in train_iter:
@@ -790,7 +718,8 @@ class ModelEnv:
     the whole episode into a `MemberStack`, folding the normalizer into
     the first layer, and the stack sets the precision of every step: one
     stacked float32 forward over the elites, fed the raw (obs, action)
-    rows. A float64 episode has no stack and forwards member by member.
+    rows. A float64 episode has no stack and forwards each member's own
+    rows in float64.
 
     Each step tests termination once. A reward function that pays 1 per
     step until the termination function fires (its `alive_until` is that

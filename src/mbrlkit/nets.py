@@ -1,22 +1,25 @@
 """Minimal dense-network substrate with hand-derived gradients.
 
-Parameters live in one float64 vector, with weights and biases as views
-into it. Parameters, gradients, training, checkpoints and the forward are
-float64. Training does not go through `DenseNet`: it runs one stacked
-pass over an ensemble's members (`GaussianMLPEnsemble.update`). Nor do
-float32 planning rollouts: they run one stacked float32 forward
-(`GaussianMLPEnsemble.stacked_forward`), with the activations of
-`BUFFERED_ACTIVATIONS`; a stacked SiLU layer holds half its weights and
-bias, and its activation takes z / 2. `forward(cache=True)` and `backward`
-are the one-network reference: tests anchor them to central finite
-differences and check the stacked training pass against them bit for bit.
+Parameters live in one float64 array, with weights and biases as views into
+it. Parameters, gradients, training, checkpoints and the forward are
+float64. A `DenseNet` is one network or, with a leading member axis on its
+parameters, a stack of E same-shaped ones: an ensemble's members, whose
+forward and backward run one matmul per layer over all of them. It is the
+one float64 forward and the one backward; `forward(cache=True)` keeps the
+hidden outputs and SiLU's derivative for `backward`, in work arrays that
+`keep_work_arrays` holds over many calls. Float32 planning rollouts run
+one stacked float32 forward instead (`GaussianMLPEnsemble.stacked_forward`),
+with the activations of `BUFFERED_ACTIVATIONS`: a stacked SiLU layer holds
+half its weights and bias, and its activation takes z / 2.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -47,35 +50,11 @@ def _logistic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(1.0, out, out=out)
 
 
-def silu(x: np.ndarray) -> np.ndarray:
-    return x * _logistic(x)
-
-
-def _silu_inplace(x: np.ndarray) -> np.ndarray:
-    x *= _logistic(x)
-    return x
-
-
-def silu_grad(x: np.ndarray) -> np.ndarray:
-    s = _logistic(x)
-    return s * (1.0 + x * (1.0 - s))
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-def _relu_inplace(x: np.ndarray, zeros: np.ndarray | None = None
-                  ) -> np.ndarray:
-    """ReLU of x in place, as the maximum of x and 0 or, when given, of x
-    and zeros, an array of x's shape and dtype holding 0 that is only
-    read: numpy's maximum runs about twice as fast against it as against a
-    scalar."""
-    return np.maximum(x, 0.0 if zeros is None else zeros, out=x)
-
-
-def relu_grad(x: np.ndarray) -> np.ndarray:
-    return (x > 0.0).astype(np.float64)
+def _relu_inplace(x: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+    """ReLU of x in place, as the maximum of x and zeros, an array of x's
+    shape and dtype holding 0 that is only read: numpy's maximum runs about
+    twice as fast against it as against a scalar."""
+    return np.maximum(x, zeros, out=x)
 
 
 def _silu_buffered(x: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -130,14 +109,22 @@ def layer_views(layer_sizes, vector: np.ndarray):
     return weights, biases
 
 
-class DenseNet:
-    """Fully connected network; activation on all layers except the last.
+def _rows(flat: np.ndarray, lead: tuple, width: int) -> np.ndarray:
+    """The start of a flat work array as a lead + (width,) array."""
+    return flat[:math.prod(lead) * width].reshape(lead + (width,))
 
-    layer_sizes is [in, h1, ..., out]. Weights use truncated-Gaussian fan-in
-    initialization (std = 1/sqrt(2 * fan_in), truncated at 2 sigma) and
-    zero biases. They live in `params`, a zeroed float64 vector of
-    `param_count(layer_sizes)` entries (allocated when None), as w0, b0, w1,
-    b1, ...; `weights` and `biases` are tuples of views into it.
+
+class DenseNet:
+    """Fully connected network, or a stack of E same-shaped ones (members);
+    activation on all layers except the last.
+
+    layer_sizes is [in, h1, ..., out]. Parameters live in `params`, laid
+    out w0, b0, w1, b1, ...: a float64 vector of `param_count(layer_sizes)`
+    entries (zeros when None), or an (E, n) array, one such row a member.
+    `weights` ((out, in) or (E, out, in)) and `biases` ((out,) or (E, out))
+    are tuples of views into it. Weights get truncated-Gaussian fan-in
+    initialization (std = 1/sqrt(2 * fan_in), truncated at 2 sigma), drawn
+    member by member, layer by layer; biases keep the values in params.
     """
 
     def __init__(self, layer_sizes, activation: str = "silu",
@@ -150,87 +137,144 @@ class DenseNet:
                              f"choose from {ACTIVATIONS}")
         if rng is None:
             rng = np.random.default_rng()
-        self.layer_sizes = list(int(s) for s in layer_sizes)
+        layer_sizes = [int(s) for s in layer_sizes]
+        n = param_count(layer_sizes)
+        if params is None:
+            params = np.zeros(n)
+        if params.ndim not in (1, 2) or params.shape[-1] != n:
+            raise ValueError(f"parameters {params.shape}, not (E, {n})")
+        self._bind(layer_sizes, activation, params)
+        for block in np.atleast_2d(params):
+            for w in layer_views(layer_sizes, block)[0]:
+                w[...] = truncated_normal(rng, w.shape,
+                                          1.0 / np.sqrt(2.0 * w.shape[1]))
+
+    def _bind(self, layer_sizes, activation, params) -> None:
+        self.layer_sizes = layer_sizes
         self.activation = activation
-        n = param_count(self.layer_sizes)
-        self.params = np.zeros(n) if params is None else params
-        weights, biases = layer_views(self.layer_sizes, self.params)
-        for w in weights:
-            fan_in = w.shape[1]
-            w[...] = truncated_normal(rng, w.shape, 1.0 / np.sqrt(2.0 * fan_in))
+        self.params = params
+        weights, biases = layer_views(layer_sizes, params)
         self.weights, self.biases = tuple(weights), tuple(biases)
-        self._act = silu if activation == "silu" else relu
-        self._act_inplace = (_silu_inplace if activation == "silu"
-                             else _relu_inplace)
-        self._act_grad = silu_grad if activation == "silu" else relu_grad
-        self._cache = None
+        self._cache = self._kept = None
 
-    @property
-    def in_size(self) -> int:
-        return self.layer_sizes[0]
+    def member(self, e: int) -> DenseNet:
+        """Member e of a net with a member axis, as a net of its own on
+        that member's row of `params`: a view, nothing is drawn or
+        copied."""
+        net = object.__new__(DenseNet)
+        net._bind(self.layer_sizes, self.activation, self.params[e])
+        return net
 
-    @property
-    def out_size(self) -> int:
-        return self.layer_sizes[-1]
+    @contextmanager
+    def keep_work_arrays(self):
+        """Keep the forward's work arrays, sized for the most rows yet,
+        until the block exits; outside one, each forward makes its own. A
+        forward without cache in the block writes over the arrays that a
+        cached forward keeps for `backward`, and so drops that cache."""
+        self._kept = []
+        try:
+            yield
+        finally:
+            self._kept = self._cache = None
+
+    def _work_arrays(self, count: int, size: int) -> list:
+        """count flat work arrays of at least size entries each: rows of
+        the kept block inside `keep_work_arrays` (made, or remade larger,
+        when too small), fresh ones outside it."""
+        kept = [] if self._kept is None else self._kept
+        if len(kept) < count or kept[0].size < size:
+            # rows of one block: freed, it lifts glibc's mmap threshold over
+            # the planning buffers, which then reuse pages, not fault anew
+            kept[:] = np.empty((max(count, len(kept)),
+                                max(size, kept[0].size if kept else 0)))
+        return kept[:count]
 
     def forward(self, x: np.ndarray, cache: bool = False) -> np.ndarray:
-        """Output for x (B, in), float64 whatever x's dtype. cache=True
-        keeps the layer inputs and pre-activations for `backward`; without
-        it the bias and activation are applied in place and nothing is
-        kept. Float32 planning rollouts run the ensemble's stacked forward
-        instead (`GaussianMLPEnsemble.stacked_forward`)."""
+        """Output for x, float64 whatever x's dtype: (B, out) for x
+        (B, in); with a member axis, (E, B, out) for x (B, in), the same
+        rows for every member, or (E, B, in), one block of rows a member.
+        Each layer is one matmul over all members, one bias add and the
+        activation, written into work arrays.
+
+        cache=True keeps the input, each hidden layer's output and, for
+        SiLU, its derivative s * (1 + z * (1 - s)), taken from the
+        forward's logistic s, for `backward`."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.in_size:
-            raise ValueError(f"expected (B, {self.in_size}) input, got {x.shape}")
-        h = x
+        members = self.params.shape[:-1]
+        if x.shape[-1:] != (self.layer_sizes[0],) or not (
+                x.ndim == 2 or x.ndim == 3 and x.shape[:1] == members):
+            raise ValueError(f"input {x.shape} for {members} members of "
+                             f"layer sizes {self.layer_sizes}")
+        lead = members + x.shape[-2:-1]
         last = len(self.weights) - 1
-        if not cache:
-            for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-                h = h @ w.T
-                h += b
-                if i < last:
-                    self._act_inplace(h)
-            return h
-        inputs = [x]   # layer inputs (post-activation of previous layer)
-        pre = []       # pre-activation values
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.T + b
-            pre.append(z)
-            h = self._act(z) if i < last else z
-            if i < last:
-                inputs.append(h)
-        self._cache = (inputs, pre)
-        return h
+        silu = self.activation == "silu"
+        # cached: hidden outputs, SiLU's derivatives and two scratch arrays;
+        # else two arrays taking turns as a layer's output and its logistic
+        work = self._work_arrays(
+            last * (1 + silu) + 2 if cache else 2,
+            math.prod(lead) * max(self.layer_sizes[1:-1], default=0))
+        h, outs, derivs = x, [], []
+        for i in range(last):
+            width = self.layer_sizes[i + 1]
+            h_out = _rows(work[i if cache else i % 2], lead, width)
+            z = np.matmul(h, np.swapaxes(self.weights[i], -1, -2),
+                          out=_rows(work[last + i], lead, width)
+                          if cache and silu else h_out)
+            z += self.biases[i][..., None, :]
+            if silu:
+                s = _logistic(z, out=_rows(work[-1 if cache else 1 - i % 2],
+                                           lead, width))
+                h = np.multiply(z, s, out=h_out)
+                if cache:
+                    # silu'(z) = s * (1 + z * (1 - s)), over z
+                    z *= np.subtract(1.0, s, out=_rows(work[-2], lead, width))
+                    z += 1.0
+                    z *= s
+                    derivs.append(z)
+            else:
+                h = np.maximum(z, 0.0, out=h_out)
+            outs.append(h)
+        out = np.matmul(h, np.swapaxes(self.weights[last], -1, -2))
+        out += self.biases[last][..., None, :]
+        if cache:
+            self._cache = (lead, x, outs, derivs, work[-2:])
+        elif self._kept is not None:
+            self._cache = None
+        return out
 
     def backward(self, upstream_grad: np.ndarray,
                  out: np.ndarray | None = None):
         """Gradients of a scalar loss wrt parameters, given d(loss)/d(output).
 
-        Requires a preceding forward(..., cache=True). The parameter
-        gradients are written into `out`, a vector laid out like `params`
-        (allocated when None). Returns (weight_grads, bias_grads,
-        input_grad), the first two as lists of views into that vector.
-        The reference for `GaussianMLPEnsemble.update`, which trains
-        without it.
+        Takes the cache of the preceding forward(..., cache=True), which it
+        uses up. The gradients are written into `out`, an array laid out
+        like `params` (allocated when None): per layer, one matmul over all
+        members for the weights and one sum over rows for the biases. The
+        gradient wrt the input is not computed. Returns (weight_grads,
+        bias_grads, grads): lists of views into the gradient array, and
+        that array.
         """
         if self._cache is None:
             raise RuntimeError("backward called without a cached forward pass")
-        inputs, pre = self._cache
+        lead, x, outs, derivs, scratch = self._cache
+        self._cache = None
         g = np.asarray(upstream_grad, dtype=np.float64)
-        if g.shape != pre[-1].shape:
+        if g.shape != lead + (self.layer_sizes[-1],):
             raise ValueError(f"upstream grad shape {g.shape} != output "
-                             f"shape {pre[-1].shape}")
-        w_grads, b_grads = layer_views(
-            self.layer_sizes,
-            np.empty_like(self.params) if out is None else out)
+                             f"shape {lead + (self.layer_sizes[-1],)}")
+        grads = np.empty_like(self.params) if out is None else out
+        w_grads, b_grads = layer_views(self.layer_sizes, grads)
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
             if i < last:
-                g = g * self._act_grad(pre[i])
-            np.matmul(g.T, inputs[i], out=w_grads[i])
-            np.sum(g, axis=0, out=b_grads[i])
-            g = g @ self.weights[i]
-        return w_grads, b_grads, g
+                g *= derivs[i] if derivs else outs[i] > 0.0
+            np.matmul(np.swapaxes(g, -1, -2), outs[i - 1] if i else x,
+                      out=w_grads[i])
+            np.sum(g, axis=-2, out=b_grads[i])
+            if i:
+                g = np.matmul(g, self.weights[i], out=_rows(
+                    scratch[i % 2], lead, self.layer_sizes[i]))
+        return w_grads, b_grads, grads
 
     def get_flat(self) -> np.ndarray:
         return self.params.copy()
@@ -242,8 +286,8 @@ class DenseNet:
 @dataclass
 class AdamState:
     """Bias-corrected Adam over one parameter array, such as a network's or
-    an ensemble's flat parameter vector; m and v are created on the first
-    step with the shape of the parameters."""
+    an ensemble's flat parameter vector; m and v, and two scratch arrays
+    for each step's intermediates, are made on the first step."""
 
     lr: float = 1e-3
     beta1: float = 0.9
@@ -252,6 +296,7 @@ class AdamState:
     step_count: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+    _work: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         """Updates params in place; raises on non-finite gradients."""
@@ -263,15 +308,26 @@ class AdamState:
             self.v = np.zeros_like(params)
         if not np.all(np.isfinite(grads)):
             raise FloatingPointError("non-finite gradient in Adam step")
+        if not self._work:
+            self._work = (np.empty_like(params), np.empty_like(params))
+        a, b = self._work
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - self.beta1 ** t
         c2 = 1.0 - self.beta2 ** t
         self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grads
+        self.m += np.multiply(1.0 - self.beta1, grads, out=a)
         self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * grads * grads
-        params -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
+        np.multiply(1.0 - self.beta2, grads, out=a)
+        a *= grads
+        self.v += a
+        np.divide(self.m, c1, out=a)
+        a *= self.lr
+        np.divide(self.v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        params -= a
 
 
 CHECKPOINT_VERSION = 1

@@ -209,10 +209,10 @@ class TestPETSRun:
                             stacked_spy)
         monkeypatch.setattr(AdamState, "step", step_spy)
         pets_run(small_cfg(deterministic=False), out_dir=tmp_path)
-        # training steps and elite scoring run in float64, the planning
-        # rollouts in float32
-        assert seen == {("step", "float64", "float64"), (False, "float64"),
-                        (False, "float32")}
+        # training (the net's cached forward and Adam's steps) and elite
+        # scoring run in float64, the planning rollouts in float32
+        assert seen == {("step", "float64", "float64"), (True, "float64"),
+                        (False, "float64"), (False, "float32")}
         arrays, _ = load_arrays(tmp_path / "model.ckpt.npz")
         assert arrays and all(a.dtype == np.float64 for a in arrays.values())
 

@@ -184,6 +184,26 @@ class TestArgumentErrors:
     def test_missing_required_flag_exit_2(self, capsys):
         assert cli_main(["train"]) == 2
 
+    @pytest.mark.parametrize("command, flag", [
+        ("visualize", "--horizon"), ("visualize", "--samples"),
+        ("true-env-control", "--horizon"),
+        ("true-env-control", "--episodes")])
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_counts_below_one_exit_2_at_parse_time(self, tmp_path, capsys,
+                                                   command, flag, value):
+        # a real config, so that only the count can be at fault
+        cfg = small_config(tmp_path)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), flag, value, "--out",
+                str(out)]
+        if command == "visualize":
+            argv += ["--model", str(tmp_path / "no.npz")]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be an integer >= 1, got '{value}'" \
+            in err
+        assert not out.exists()
+
 
 class TestDownstreamCommands:
     def trained_run(self, tmp_path):

@@ -16,8 +16,9 @@ from mbrlkit.models import (LOGVAR_BOUND_REG, GaussianMLPEnsemble,
                             load_model, mse_loss, save_model)
 from mbrlkit import envs
 from mbrlkit.nets import (AdamState, DenseNet, _silu_buffered, load_arrays,
-                          save_arrays, sigmoid, silu, softplus)
+                          save_arrays, sigmoid, softplus)
 from mbrlkit.envs import no_termination
+from reference_net import ReferenceNet, silu
 
 
 def make_batch(obs, action, next_obs, reward=None, done=None):
@@ -313,15 +314,35 @@ class TestWrapperSample:
         assert np.array_equal(a, b)
 
 
+def bounded_logvar(model, raw):
+    """The double-softplus bound on raw, written out: (logvar, the value
+    capped by max_logvar)."""
+    lo, hi = model.min_logvar, model.max_logvar
+    capped = hi - softplus(hi - raw)
+    return lo + softplus(capped - lo), capped
+
+
+def member_heads(model, e, x):
+    """Member e's float64 (mean, logvar) for x (B, in), computed apart
+    from the ensemble: the reference forward of its weights and the bound
+    written out; logvar is None when deterministic."""
+    out = ReferenceNet(model.members[e]).forward(x)
+    if model.deterministic:
+        return out, None
+    d = model.out_size
+    return out[:, :d], bounded_logvar(model, out[:, d:])[0]
+
+
 def member_reference(model, e, x, target):
     """Member e's mean-per-batch loss and gradients, computed apart from
-    `update`: the member's own DenseNet forward(cache=True) and backward,
-    with the double-softplus bound and its gradients written out here.
+    `update`: the reference forward(cache=True) and backward of the
+    member's weights, with the double-softplus bound and its gradients
+    written out here.
 
     Returns (loss, parameter grads w0, b0, w1, b1, ..., d_min, d_max); the
     bound gradients are None when deterministic and exclude the bound
     regularizer."""
-    member = model.members[e]
+    member = ReferenceNet(model.members[e])
     b, d = x.shape[0], model.out_size
     out = member.forward(x, cache=True)
     if model.deterministic:
@@ -331,8 +352,7 @@ def member_reference(model, e, x, target):
         d_min = d_max = None
     else:
         lo, hi, raw = model.min_logvar, model.max_logvar, out[:, d:]
-        capped = hi - softplus(hi - raw)
-        logvar = lo + softplus(capped - lo)
+        logvar, capped = bounded_logvar(model, raw)
         sig_max = sigmoid(hi - raw)
         sig_min = sigmoid(capped - lo)
         err = out[:, :d] - target
@@ -702,7 +722,7 @@ def per_member_reference(wrapper, obs, act, assignment, rng, sample):
         logvar = np.empty_like(mu)
         for m in np.unique(assignment):
             rows = np.flatnonzero(assignment == m)
-            mu[rows], lv = model.member_forward(int(m), x[rows])
+            mu[rows], lv = member_heads(model, int(m), x[rows])
             if lv is not None:
                 logvar[rows] = lv
     else:
@@ -720,7 +740,7 @@ def per_particle_reference(wrapper, obs, act, assignment):
     """Each particle alone through its own member's mean head."""
     x = wrapper.normalizer.normalize(np.concatenate([obs, act], axis=1))
     return obs + np.concatenate([
-        wrapper.model.member_forward(int(m), x[i:i + 1])[0]
+        member_heads(wrapper.model, int(m), x[i:i + 1])[0]
         for i, m in enumerate(assignment)])
 
 
@@ -1109,7 +1129,7 @@ class TestStackedForward:
         np.testing.assert_allclose(mean_rev, mean[::-1], rtol=F32_TOL,
                                    atol=F32_TOL)
         alone = np.concatenate([
-            w.model.member_forward(int(e), x[i:i + 1])[0]
+            member_heads(w.model, int(e), x[i:i + 1])[0]
             for i, e in enumerate(assignment)])
         np.testing.assert_allclose(mean, alone, rtol=F32_TOL, atol=F32_TOL)
 
@@ -1155,7 +1175,7 @@ class TestStackedForward:
                                     hid_size=5, activation=activation,
                                     rng=np.random.default_rng(0))
         rng = np.random.default_rng(1)
-        for b in model.layer_biases:  # each member its own
+        for b in model.net.biases:  # each member its own
             b[...] = rng.standard_normal(b.shape)
         xs = [rng.standard_normal((3, m, 3)) for m in (4, 9, 2, 9, 4)]
         kept = model.stack_members([0, 1, 2])
@@ -1199,8 +1219,8 @@ class TestStackedForward:
     def test_stacks_are_views_of_the_arena(self):
         model = GaussianMLPEnsemble(3, 2, ensemble_size=3, num_layers=3,
                                     hid_size=4, rng=np.random.default_rng(0))
-        for i, (w, b) in enumerate(zip(model.layer_weights,
-                                       model.layer_biases)):
+        for i, (w, b) in enumerate(zip(model.net.weights,
+                                       model.net.biases)):
             assert np.shares_memory(w, model.params)
             assert np.shares_memory(b, model.params)
             for e, member in enumerate(model.members):
@@ -1449,10 +1469,11 @@ class TestParameterArena:
 
 
 def held_arrays(model):
-    """The arrays that the ensemble and its members hold, through
+    """The arrays that the ensemble, its net and its members hold, through
     attributes, dicts, lists and tuples, other than views of its parameter
     and gradient vectors."""
-    found, todo = [], [vars(model)] + [vars(m) for m in model.members]
+    found, todo = [], [vars(model), vars(model.net)] + [
+        vars(m) for m in model.members]
     while todo:
         item = todo.pop()
         if isinstance(item, dict):
@@ -1511,7 +1532,7 @@ class TestStackedUpdate:
             rng=rng)
         # nonzero biases: with zero ones a row whose units are all off puts
         # the next layer exactly on ReLU's kink, where differences halve
-        for bias in model.layer_biases:
+        for bias in model.net.biases:
             bias[...] = rng.normal(scale=0.1, size=bias.shape)
         # bounds inside the usual range, so that both softplus terms bend
         model.min_logvar[...] = [-1.0, -0.5]
@@ -1520,7 +1541,7 @@ class TestStackedUpdate:
         batches = [(rng.standard_normal((ensemble_size, b, 3)),
                     rng.standard_normal((ensemble_size, b, 2)))
                    for b in (8, 3)]
-        with model.keep_work_arrays():
+        with model.net.keep_work_arrays():
             for x, target in batches:
                 model.update(x, target, optimizer)
         loss_fn = mse_loss if deterministic else gaussian_nll_loss
@@ -1623,3 +1644,37 @@ class TestStackedUpdate:
                               AdamState())
         assert np.all(np.isfinite(losses))
         assert held_arrays(model) == []
+
+    def test_scoring_runs_in_the_kept_arrays(self):
+        """Inside `keep_work_arrays`, scoring forwards through the arrays
+        that training made, and scores as it does outside the block."""
+        rng = np.random.default_rng(5)
+        model = GaussianMLPEnsemble(3, 2, ensemble_size=3, num_layers=3,
+                                    hid_size=6, rng=rng)
+        x, target = rng.standard_normal((3, 8, 3)), rng.standard_normal(
+            (3, 8, 2))
+        rows, row_target = rng.standard_normal((8, 3)), rng.standard_normal(
+            (8, 2))
+        with model.net.keep_work_arrays():
+            model.update(x, target, AdamState())
+            kept = list(model.net._kept)
+            for a in kept:
+                a.fill(np.nan)
+            inside = model.eval_score(rows, row_target)
+            assert [a is b for a, b in zip(model.net._kept, kept)] == [
+                True] * len(kept)
+            # scoring wrote its layers into the arrays training made
+            assert not np.isnan(kept[0]).all()
+        assert np.array_equal(inside, model.eval_score(rows, row_target))
+
+
+class TestActivationChoice:
+    @pytest.mark.parametrize("build", [
+        lambda activation: DenseNet([3, 4, 2], activation=activation),
+        lambda activation: GaussianMLPEnsemble(
+            3, 2, ensemble_size=2, activation=activation)],
+        ids=["DenseNet", "GaussianMLPEnsemble"])
+    def test_unknown_activation_rejected(self, build):
+        with pytest.raises(ValueError, match=r"unknown activation 'tanh'; "
+                           r"choose from \('silu', 'relu'\)"):
+            build("tanh")

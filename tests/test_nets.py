@@ -1,11 +1,15 @@
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from mbrlkit.nets import (AdamState, DenseNet, load_arrays, param_count,
-                          relu, save_arrays, sigmoid, silu, silu_grad)
+                          save_arrays, sigmoid)
+from reference_net import ReferenceNet, relu, silu, silu_grad
 
 
 def finite_diff(f, flat, h=1e-5):
@@ -79,6 +83,29 @@ class TestBackward:
         with pytest.raises(RuntimeError):
             net.backward(np.ones((1, 2)))
 
+    def test_backward_uses_up_the_cache(self):
+        net = DenseNet([2, 4, 2], rng=np.random.default_rng(0))
+        net.forward(np.ones((3, 2)), cache=True)
+        net.backward(np.ones((3, 2)))
+        with pytest.raises(RuntimeError):
+            net.backward(np.ones((3, 2)))
+
+    def test_leaving_kept_arrays_drops_the_cache(self):
+        net = DenseNet([2, 4, 2], rng=np.random.default_rng(0))
+        with net.keep_work_arrays():
+            net.forward(np.ones((3, 2)), cache=True)
+        with pytest.raises(RuntimeError):
+            net.backward(np.ones((3, 2)))
+
+    def test_uncached_forward_in_kept_arrays_drops_the_cache(self):
+        # it writes over the kept arrays that hold the cache
+        net = DenseNet([2, 4, 2], rng=np.random.default_rng(0))
+        with net.keep_work_arrays():
+            net.forward(np.ones((3, 2)), cache=True)
+            net.forward(np.ones((3, 2)))
+            with pytest.raises(RuntimeError):
+                net.backward(np.ones((3, 2)))
+
     @pytest.mark.parametrize("width", [2, 8, 32])
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_finite_difference_agreement(self, width, depth):
@@ -93,18 +120,24 @@ class TestBackward:
             return float(np.sum((net.forward(x) - target) ** 2))
 
         flat = net.get_flat()
-        net.forward(x, cache=True)
-        w_grads, b_grads, _ = net.backward(2.0 * (net.forward(x) - target))
+        ref = ReferenceNet(net)
+        ref.forward(x, cache=True)
+        w_grads, b_grads, _ = ref.backward(2.0 * (ref.forward(x) - target))
         analytic = np.concatenate(
             [g.ravel() for pair in zip(w_grads, b_grads) for g in pair])
         numeric = finite_diff(loss, flat)
         # floor guards against fd noise on near-zero entries
         denom = np.maximum(np.abs(numeric) + np.abs(analytic), 1e-3)
         assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
+        # and the net's own backward gives the reference's bits
+        net.set_flat(flat)
+        net.forward(x, cache=True)
+        _, _, grads = net.backward(2.0 * (net.forward(x) - target))
+        assert np.array_equal(grads, analytic)
 
     def test_input_gradient(self):
         rng = np.random.default_rng(7)
-        net = DenseNet([2, 5, 1], rng=rng)
+        net = ReferenceNet(DenseNet([2, 5, 1], rng=rng))
         x = rng.standard_normal((1, 2))
         net.forward(x, cache=True)
         _, _, dx = net.backward(np.ones((1, 1)))
@@ -250,6 +283,113 @@ class TestAdam:
         opt = AdamState()
         with pytest.raises(FloatingPointError):
             opt.step(np.zeros(1), np.array([np.nan]))
+
+    def test_steps_match_the_written_out_update(self):
+        """Several steps, bit for bit the update written out with fresh
+        arrays, in the same order of operations."""
+        rng = np.random.default_rng(8)
+        params = rng.standard_normal(257)
+        expected = params.copy()
+        m, v = np.zeros_like(params), np.zeros_like(params)
+        opt = AdamState(lr=3e-3, beta1=0.8, beta2=0.99, eps=1e-7)
+        for t in range(1, 7):
+            grads = rng.standard_normal(params.shape) * 10.0 ** (t - 3)
+            opt.step(params, grads)
+            m = 0.8 * m + (1.0 - 0.8) * grads
+            v = 0.99 * v + (1.0 - 0.99) * grads * grads
+            c1, c2 = 1.0 - 0.8 ** t, 1.0 - 0.99 ** t
+            expected = expected - 3e-3 * (m / c1) / (np.sqrt(v / c2) + 1e-7)
+            assert np.array_equal(opt.m, m)
+            assert np.array_equal(opt.v, v)
+            assert np.array_equal(params, expected)
+        assert opt.step_count == 6
+
+
+@st.composite
+def batched_cases(draw):
+    """A stack of 1-4 networks of 0-3 hidden layers, each of its own
+    width, an activation, rows shared by every member or one block a
+    member, and whether the net keeps its work arrays."""
+    depth = draw(st.integers(min_value=0, max_value=3))
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=6),
+                          min_size=depth + 2, max_size=depth + 2))
+    return {
+        "members": draw(st.integers(min_value=1, max_value=4)),
+        "sizes": sizes,
+        "activation": draw(st.sampled_from(["relu", "silu"])),
+        "rows": draw(st.integers(min_value=1, max_value=9)),
+        "shared": draw(st.booleans()),
+        "kept": draw(st.booleans()),
+        "seed": draw(st.integers(min_value=0, max_value=2 ** 16)),
+    }
+
+
+class TestBatchedNet:
+    """A net with a member axis runs each member as that member's own
+    one-network reference would, bit for bit."""
+
+    @given(batched_cases())
+    @settings(max_examples=80)
+    def test_matches_reference_member_by_member(self, case):
+        rng = np.random.default_rng(case["seed"])
+        e, sizes = case["members"], case["sizes"]
+        net = DenseNet(sizes, case["activation"], rng,
+                       params=np.zeros((e, param_count(sizes))))
+        for b in net.biases:
+            b[...] = rng.normal(scale=0.5, size=b.shape)
+        rows = (case["rows"],) if case["shared"] else (e, case["rows"])
+        x = rng.standard_normal(rows + (sizes[0],)) * 3.0
+        upstream = rng.standard_normal((e, case["rows"], sizes[-1]))
+        given_upstream = upstream.copy()
+        with net.keep_work_arrays() if case["kept"] else nullcontext():
+            if case["kept"]:
+                # kept arrays already written by a larger forward
+                net.forward(rng.standard_normal(x.shape[:-2] + (
+                    case["rows"] + 3, sizes[0])), cache=True)
+            out = net.forward(x, cache=True)
+            w_grads, b_grads, grads = net.backward(upstream)
+            plain = net.forward(x)
+        assert out.shape == (e, case["rows"], sizes[-1])
+        assert np.array_equal(plain, out)
+        assert np.array_equal(upstream, given_upstream)
+        assert grads.shape == net.params.shape
+        for m in range(e):
+            member = net.member(m)
+            ref = ReferenceNet(member)
+            xm = x if case["shared"] else x[m]
+            assert np.array_equal(ref.forward(xm, cache=True), out[m])
+            assert np.array_equal(member.forward(xm), out[m])
+            ref_w, ref_b, _ = ref.backward(upstream[m])
+            for i in range(len(sizes) - 1):
+                assert np.array_equal(w_grads[i][m], ref_w[i])
+                assert np.array_equal(b_grads[i][m], ref_b[i])
+
+    def test_draws_as_one_net_after_another(self):
+        sizes = [3, 5, 4, 2]
+        n = param_count(sizes)
+        rng = np.random.default_rng(2)
+        stacked = DenseNet(sizes, "relu", rng, params=np.zeros((4, n)))
+        one_by_one = np.random.default_rng(2)
+        for m in range(4):
+            alone = DenseNet(sizes, "relu", one_by_one)
+            assert np.array_equal(stacked.params[m], alone.params)
+            member = stacked.member(m)
+            assert np.shares_memory(member.params, stacked.params)
+            assert all(np.array_equal(w, stacked.weights[i][m])
+                       for i, w in enumerate(member.weights))
+        assert rng.bit_generator.state == one_by_one.bit_generator.state
+
+    def test_shapes_checked(self):
+        net = DenseNet([3, 4, 2], rng=np.random.default_rng(0),
+                       params=np.zeros((2, param_count([3, 4, 2]))))
+        for shape in [(5, 2), (3, 5, 3), (2, 5, 2), (5,)]:
+            with pytest.raises(ValueError):
+                net.forward(np.zeros(shape))
+        with pytest.raises(ValueError):
+            DenseNet([3, 4, 2], params=np.zeros(7))
+        net.forward(np.zeros((2, 5, 3)), cache=True)
+        with pytest.raises(ValueError):
+            net.backward(np.zeros((5, 2)))
 
 
 class TestCheckpoint:
