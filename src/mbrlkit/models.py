@@ -143,9 +143,12 @@ class GaussianMLPEnsemble:
 
     def _bound_logvar(self, raw: np.ndarray, grads: bool = False):
         """Double-softplus soft bounds, float64 whatever raw's precision;
-        returns (logvar, backward cache), the cache being None unless grads
-        is set. Training, scoring and `forward` bound with it; planning
-        draws its noise with `_variance`, exp(logvar) in closed form."""
+        returns (logvar, backward cache). The cache is None unless grads is
+        set; then it holds the two softpluses' derivatives,
+        sigmoid(max - raw) and sigmoid(z2 - min), where z2 is the upper
+        bound's output, for training's backward. Training, scoring and
+        `forward` bound with it; planning draws its noise with `_variance`,
+        exp(logvar) in closed form."""
         z2 = self.max_logvar - softplus(self.max_logvar - raw)
         logvar = self.min_logvar + softplus(z2 - self.min_logvar)
         if not grads:

@@ -10,7 +10,9 @@ hidden outputs and SiLU's derivative for `backward`, in work arrays that
 `keep_work_arrays` holds over many calls. Float32 planning rollouts run
 one stacked float32 forward instead (`GaussianMLPEnsemble.stacked_forward`),
 with the activations of `BUFFERED_ACTIVATIONS`: a stacked SiLU layer holds
-half its weights and bias, and its activation takes z / 2.
+half its weights and bias, and its activation takes z / 2. Every kernel is
+numpy's: the logistic function behind SiLU and `sigmoid` is one vectorized
+exp, so importing the package loads no scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .fileio import replace_on_success
 
@@ -30,7 +31,7 @@ ACTIVATIONS = ("silu", "relu")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    return expit(x)
+    return _logistic(x)
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -38,11 +39,12 @@ def softplus(x: np.ndarray) -> np.ndarray:
 
 
 def _logistic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """1 / (1 + exp(-x)) on numpy's vectorized exp, ~3x faster than expit,
-    written into out (x's shape; allocated when None).
+    """1 / (1 + exp(-x)) on numpy's vectorized exp, written into out (x's
+    shape; allocated when None); within 1e-15 relative of the libm form
+    1 / (1 + math.exp(-x)).
 
-    Below x = -709.78 exp(-x) overflows to inf and the result is 0, as with
-    expit; that overflow is expected, so it is not reported.
+    Below x = -709.78 exp(-x) overflows to inf and the result is 0, as in
+    the libm form; that overflow is expected, so it is not reported.
     """
     with np.errstate(over="ignore"):
         out = np.exp(np.negative(x, out=out), out=out)

@@ -1,3 +1,4 @@
+import math
 import warnings
 from contextlib import nullcontext
 
@@ -199,6 +200,38 @@ class TestSiLUKernel:
         assert net._cache is None
         assert np.array_equal(lean, net.forward(x, cache=True))
         assert np.array_equal(x, x_before)
+
+
+class TestSigmoidKernel:
+    """The numpy sigmoid against the libm form 1 / (1 + exp(-x)), whose
+    exp overflow gives 0, on TestSiLUKernel's grid and on random draws of
+    many magnitudes."""
+
+    @staticmethod
+    def libm_sigmoid(x):
+        def one(v):
+            try:
+                return 1.0 / (1.0 + math.exp(-v))
+            except OverflowError:
+                return 0.0
+        return np.array([one(v) for v in x.tolist()])
+
+    def draws(self):
+        rng = np.random.default_rng(11)
+        scales = 10.0 ** rng.integers(-8, 4, 20_000)
+        return np.concatenate([TestSiLUKernel.grid,
+                               rng.standard_normal(20_000) * scales,
+                               rng.uniform(-800.0, 800.0, 20_000)])
+
+    def test_matches_libm_reference(self):
+        x = self.draws()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value = sigmoid(x)
+        np.testing.assert_allclose(value, self.libm_sigmoid(x),
+                                   rtol=1e-15, atol=0)
+        # the grid's ends, -1000 and 1000, saturate exactly
+        assert (value[0], value[len(TestSiLUKernel.grid) - 1]) == (0.0, 1.0)
 
 
 class TestForwardPrecision:
