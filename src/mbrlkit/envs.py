@@ -142,15 +142,8 @@ class PendulumEnv:
 
 
 def angle_wrap(theta: np.ndarray) -> np.ndarray:
-    """Wrap angles to (-pi, pi], as pi - mod(pi - theta, 2 pi), bit for bit.
-    mod returns y = pi - theta unchanged on [0, 2 pi), so on a batch it
-    runs only on the y outside, which steps of a wrapped angle rarely
-    leave: about a third of the time on 1,250 rows. Below ~200 values
-    building that mask costs more than it saves, so mod runs on all."""
-    y = np.asarray(np.pi - theta)
-    outside = True if y.size < 200 else (y < 0.0) | (y >= 2.0 * np.pi)
-    np.mod(y, 2.0 * np.pi, out=y, where=outside)
-    return np.pi - y
+    """Wrap angles to (-pi, pi]."""
+    return np.pi - np.mod(np.pi - theta, 2.0 * np.pi)
 
 
 # --- termination / reward registries ---------------------------------------

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mbrlkit.envs import (ENV_CLASSES, CartPoleContinuousEnv, PendulumEnv,
                           angle_wrap, cartpole_reward, cartpole_termination,
@@ -154,21 +152,6 @@ class TestPendulum:
         assert angle_wrap(math.pi) == pytest.approx(math.pi)
         assert angle_wrap(0.0) == 0.0
         assert angle_wrap(2 * math.pi) == pytest.approx(0.0, abs=1e-12)
-
-    @settings(max_examples=300)
-    @given(st.lists(st.floats(allow_infinity=False, width=64), min_size=1,
-                    max_size=64),
-           st.integers(1, 500))
-    def test_angle_wrap_matches_closed_form_bits(self, values, size):
-        # the values repeated to size rows: a batch of 200 or more takes
-        # the masked path
-        theta = np.resize(np.array(values), size)
-        wrapped = angle_wrap(theta)
-        expected = np.pi - np.mod(np.pi - theta, 2.0 * np.pi)
-        nan = np.isnan(theta)
-        assert np.array_equal(np.isnan(wrapped), nan)
-        assert np.array_equal(wrapped[~nan].view(np.int64),
-                              expected[~nan].view(np.int64))
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(4)

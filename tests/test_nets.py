@@ -165,7 +165,7 @@ class TestSiLU:
 
     def test_derivative_formula(self):
         z = np.linspace(-5, 5, 101)
-        s = sigmoid(z)
+        s = expit(z)
         assert np.allclose(silu_grad(z), s * (1 + z * (1 - s)))
 
 
