@@ -140,29 +140,33 @@ def true_env_cem_control(env_name: str, cem_config: CEMConfig, horizon: int,
     """CEM-based MPC where candidates are rolled out on the true dynamics.
 
     Candidate evaluation is vectorized over cloned environment states (one
-    row per candidate), so it is order-independent and seed-deterministic.
-    Returns the list of per-episode returns.
+    column per candidate, through the environment's `step_columns`), so it
+    is order-independent, draws nothing from rng and is seed-deterministic.
+    Nothing reads the value of CEM's final mean here, so it is not
+    evaluated. Returns the list of per-episode returns.
     """
     env, _, _ = make_env(env_name)
     spec = env.spec
     if trial_length is None:
         trial_length = spec.trial_length
-    step_batch = type(env).step_batch
+    step_columns = type(env).step_columns
 
     def eval_fn(initial_obs, sequences, rng):
         n = sequences.shape[0]
-        states = np.repeat(np.asarray(initial_obs)[None], n, axis=0)
+        states = np.repeat(np.asarray(initial_obs, dtype=np.float64)[:, None],
+                           n, axis=1)
+        actions = np.ascontiguousarray(sequences.transpose(1, 2, 0))
         total = np.zeros(n)
         alive = np.ones(n, dtype=bool)
-        for t in range(sequences.shape[1]):
-            states, rewards, dones = step_batch(states, sequences[:, t])
+        for step_actions in actions:
+            states, rewards, dones = step_columns(states, step_actions)
             total += np.where(alive, rewards, 0.0)
             alive &= ~dones
         return total
 
     agent = TrajectoryOptimizerAgent(
         eval_fn, horizon, spec.act_dim, spec.action_low, spec.action_high,
-        cem_config)
+        cem_config, evaluate_mean=False)
     rng = np.random.default_rng(seed)
     returns = []
     for _ in range(int(episodes)):

@@ -1,11 +1,15 @@
 """Desk-scale ground-truth environments and the reward/termination registry.
 
 Both environments are value-semantic state machines with explicit-Euler
-integration and pure, vectorized `step_batch` dynamics, so planners can roll
-out thousands of candidate states in one call. Reward and termination
-functions take (action batch, next observation batch) and preserve batch
-shape; the environments' own `step` uses the same functions, so planning
-against the true dynamics is exactly consistent.
+integration. Each holds one set of equations, `step_columns`, over a batch
+laid out column-major: states (D, B), actions (A, B), one row per state
+dimension and one column per batch element, so every formula reads a
+contiguous row. `step_batch` is the same step in the (B, D) row layout, and
+the environment's own `step` goes through `step_batch` with one row.
+Reward and termination functions take (action batch, next observation
+batch) rows and preserve batch shape; they share the per-dimension helpers
+of `step_columns`, so planning against the true dynamics, or with a model
+scored by these functions, uses exactly the environment's formulas.
 """
 
 from __future__ import annotations
@@ -13,6 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _step_rows(cls, states: np.ndarray, actions: np.ndarray):
+    """`step_columns` on rows: (B, D), (B, A) -> (next (B, D), reward (B,),
+    done (B,)), next C-contiguous float64."""
+    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+    actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
+    next_states = np.empty(states.shape)
+    _, reward, done = cls.step_columns(states.T, actions.T, out=next_states.T)
+    return next_states, reward, done
 
 
 @dataclass(frozen=True)
@@ -57,12 +71,17 @@ class CartPoleContinuousEnv:
         self.state = np.asarray(state, dtype=np.float64).copy()
 
     @classmethod
-    def step_batch(cls, states: np.ndarray, actions: np.ndarray):
-        """Pure batched dynamics: (B, 4), (B, 1) -> (next, reward, done)."""
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
-        x, x_dot, theta, theta_dot = states.T
-        force = cls.FORCE_SCALE * np.clip(actions[:, 0], -1.0, 1.0)
+    def step_columns(cls, states: np.ndarray, actions: np.ndarray,
+                     out: np.ndarray | None = None):
+        """Batched dynamics, column-major: (4, B), (1, B) ->
+        (next (4, B), reward (B,), done (B,)).
+
+        The inputs may have any strides and are not written. next goes
+        into `out`, any (4, B) float64 array, when given, else into a
+        fresh array.
+        """
+        x, x_dot, theta, theta_dot = states
+        force = cls.FORCE_SCALE * _clip(actions[0], -1.0, 1.0)
         total_mass = cls.MASS_CART + cls.MASS_POLE
         polemass_length = cls.MASS_POLE * cls.HALF_LENGTH
         cos_t, sin_t = np.cos(theta), np.sin(theta)
@@ -70,15 +89,16 @@ class CartPoleContinuousEnv:
         theta_acc = (cls.GRAVITY * sin_t - cos_t * temp) / (
             cls.HALF_LENGTH * (4.0 / 3.0 - cls.MASS_POLE * cos_t ** 2 / total_mass))
         x_acc = temp - polemass_length * theta_acc * cos_t / total_mass
-        next_states = np.stack([
-            x + cls.DT * x_dot,
-            x_dot + cls.DT * x_acc,
-            theta + cls.DT * theta_dot,
-            theta_dot + cls.DT * theta_acc,
-        ], axis=1)
-        done = cartpole_termination(actions, next_states)
+        next_states = np.empty((4, x.size)) if out is None else out
+        next_states[0] = x + cls.DT * x_dot
+        next_states[1] = x_dot + cls.DT * x_acc
+        next_states[2] = theta + cls.DT * theta_dot
+        next_states[3] = theta_dot + cls.DT * theta_acc
+        done = _cartpole_done(next_states[0], next_states[2])
         reward = np.where(done, 0.0, 1.0)
         return next_states, reward, done
+
+    step_batch = classmethod(_step_rows)
 
     def step(self, action: np.ndarray):
         next_states, reward, done = self.step_batch(
@@ -118,27 +138,41 @@ class PendulumEnv:
         self.state = np.asarray(state, dtype=np.float64).copy()
 
     @classmethod
-    def step_batch(cls, states: np.ndarray, actions: np.ndarray):
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
-        theta, theta_dot = states.T
-        torque = np.clip(actions[:, 0], -cls.MAX_TORQUE, cls.MAX_TORQUE)
+    def step_columns(cls, states: np.ndarray, actions: np.ndarray,
+                     out: np.ndarray | None = None):
+        """Batched dynamics, column-major: (2, B), (1, B) ->
+        (next (2, B), reward (B,), done (B,)).
+
+        The inputs may have any strides and are not written. next goes
+        into `out`, any (2, B) float64 array, when given, else into a
+        fresh array.
+        """
+        theta, theta_dot = states
+        torque = _pendulum_torque(actions[0])
         # theta = 0 upright, so gravity torque ~ sin(theta) destabilizes
         acc = (3.0 * cls.GRAVITY / (2.0 * cls.LENGTH) * np.sin(theta)
                + 3.0 / (cls.MASS * cls.LENGTH ** 2) * torque)
-        next_theta = angle_wrap(theta + cls.DT * theta_dot)
-        next_theta_dot = np.clip(theta_dot + cls.DT * acc,
-                                 -cls.MAX_SPEED, cls.MAX_SPEED)
-        next_states = np.stack([next_theta, next_theta_dot], axis=1)
-        reward = pendulum_reward(actions, next_states)
-        done = np.zeros(len(next_states), dtype=bool)
+        next_states = np.empty((2, theta.size)) if out is None else out
+        next_states[0] = angle_wrap(theta + cls.DT * theta_dot)
+        next_states[1] = _clip(theta_dot + cls.DT * acc,
+                               -cls.MAX_SPEED, cls.MAX_SPEED)
+        reward = _pendulum_reward(next_states[0], next_states[1], torque)
+        done = np.zeros(theta.size, dtype=bool)
         return next_states, reward, done
+
+    step_batch = classmethod(_step_rows)
 
     def step(self, action: np.ndarray):
         next_states, reward, done = self.step_batch(
             self.state[None], np.atleast_1d(action)[None])
         self.state = next_states[0]
         return self.state.copy(), float(reward[0]), bool(done[0])
+
+
+def _clip(values: np.ndarray, low: float, high: float) -> np.ndarray:
+    """np.clip's formula, NaN and signed zeros included, without its
+    Python-level wrapper (about 1 us a call)."""
+    return np.minimum(np.maximum(values, low), high)
 
 
 def angle_wrap(theta: np.ndarray) -> np.ndarray:
@@ -152,10 +186,14 @@ def no_termination(actions: np.ndarray, next_obs: np.ndarray) -> np.ndarray:
     return np.zeros(np.atleast_2d(next_obs).shape[0], dtype=bool)
 
 
+def _cartpole_done(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    return ((np.abs(x) > CartPoleContinuousEnv.X_LIMIT)
+            | (np.abs(theta) > CartPoleContinuousEnv.THETA_LIMIT))
+
+
 def cartpole_termination(actions: np.ndarray, next_obs: np.ndarray) -> np.ndarray:
     next_obs = np.atleast_2d(next_obs)
-    return ((np.abs(next_obs[:, 0]) > CartPoleContinuousEnv.X_LIMIT)
-            | (np.abs(next_obs[:, 2]) > CartPoleContinuousEnv.THETA_LIMIT))
+    return _cartpole_done(next_obs[:, 0], next_obs[:, 2])
 
 
 def cartpole_reward(actions: np.ndarray, next_obs: np.ndarray) -> np.ndarray:
@@ -168,14 +206,22 @@ def cartpole_reward(actions: np.ndarray, next_obs: np.ndarray) -> np.ndarray:
 cartpole_reward.alive_until = cartpole_termination
 
 
+def _pendulum_torque(actions: np.ndarray) -> np.ndarray:
+    return _clip(actions, -PendulumEnv.MAX_TORQUE, PendulumEnv.MAX_TORQUE)
+
+
+def _pendulum_reward(theta: np.ndarray, theta_dot: np.ndarray,
+                     torque: np.ndarray) -> np.ndarray:
+    """The negated cost of next-state columns and clipped torques."""
+    theta = angle_wrap(theta)
+    return -(theta ** 2 + 0.1 * theta_dot ** 2 + 0.001 * torque ** 2)
+
+
 def pendulum_reward(actions: np.ndarray, next_obs: np.ndarray) -> np.ndarray:
     actions = np.atleast_2d(actions)
     next_obs = np.atleast_2d(next_obs)
-    theta = angle_wrap(next_obs[:, 0])
-    theta_dot = next_obs[:, 1]
-    torque = np.clip(actions[:, 0], -PendulumEnv.MAX_TORQUE,
-                     PendulumEnv.MAX_TORQUE)
-    return -(theta ** 2 + 0.1 * theta_dot ** 2 + 0.001 * torque ** 2)
+    return _pendulum_reward(next_obs[:, 0], next_obs[:, 1],
+                            _pendulum_torque(actions[:, 0]))
 
 
 TERMINATION_FNS = {

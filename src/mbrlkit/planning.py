@@ -54,20 +54,31 @@ class CEMTraceRow:
 
 @dataclass
 class CEMResult:
+    """What `cem_optimize` returns.
+
+    value is the objective at solution: the final mean's value when it was
+    evaluated (return_mean_elites with evaluate_mean), None when it was not
+    (return_mean_elites without evaluate_mean), else the best sample's.
+    """
+
     solution: np.ndarray
-    value: float
+    value: float | None
     trace: list = field(default_factory=list)
 
 
 def cem_optimize(objective, cfg: CEMConfig, init_mean: np.ndarray,
                  lower_bound: np.ndarray, upper_bound: np.ndarray,
-                 rng: np.random.Generator) -> CEMResult:
+                 rng: np.random.Generator,
+                 evaluate_mean: bool = True) -> CEMResult:
     """Maximizes objective(candidates (N, d)) -> values (N,) over a box.
 
     Candidates are Gaussian samples clipped to the bounds; the per-dimension
     variance is additionally capped at ((upper - lower) / 2)^2. Non-finite
     objective values are ranked worst and never enter the refit. Returns the
-    final distribution mean or the best sample seen, per config.
+    final distribution mean or the best sample seen, per config. The final
+    mean is scored by one more objective call only with evaluate_mean;
+    without it, the objective runs exactly `iterations` times and the
+    result's value is None.
     """
     cfg.validate()
     mean = np.asarray(init_mean, dtype=np.float64).copy()
@@ -115,7 +126,8 @@ def cem_optimize(objective, cfg: CEMConfig, init_mean: np.ndarray,
         ))
     if cfg.return_mean_elites:
         solution = np.clip(mean, lower, upper)
-        value = float(np.asarray(objective(solution[None]))[0])
+        value = (float(np.asarray(objective(solution[None]))[0])
+                 if evaluate_mean else None)
     else:
         solution, value = best_x, best_value
     return CEMResult(solution, value, trace)
@@ -224,10 +236,18 @@ class TrajectoryOptimizerAgent(Agent):
     trajectory_eval_fn(initial_obs, sequences (N, h, A), rng) -> values (N,).
     Successive calls warm-start from the previous solution shifted left one
     step and padded with the center of the action box.
+
+    evaluate_mean is passed on to `cem_optimize`. With return_mean_elites,
+    True (the default) has each decision score the returned mean with one
+    more trajectory_eval_fn call. The agent does not use that value, but a
+    model rollout draws from rng, so the call shapes every later plan;
+    False skips it, which keeps the plans only for an evaluator that draws
+    nothing from rng.
     """
 
     def __init__(self, trajectory_eval_fn, horizon: int, act_dim: int,
-                 action_low, action_high, cem_config: CEMConfig | None = None):
+                 action_low, action_high, cem_config: CEMConfig | None = None,
+                 evaluate_mean: bool = True):
         if horizon < 1:
             raise ValidationError("horizon must be >= 1")
         self.trajectory_eval_fn = trajectory_eval_fn
@@ -238,6 +258,7 @@ class TrajectoryOptimizerAgent(Agent):
         self.high = np.broadcast_to(
             np.asarray(action_high, dtype=np.float64), (act_dim,))
         self.cem_config = cem_config or CEMConfig()
+        self.evaluate_mean = evaluate_mean
         self._prev_solution = None
         self.last_trace = None
 
@@ -263,7 +284,7 @@ class TrajectoryOptimizerAgent(Agent):
         result = cem_optimize(
             objective, self.cem_config, self._initial_mean().ravel(),
             np.tile(self.low, self.horizon), np.tile(self.high, self.horizon),
-            rng)
+            rng, evaluate_mean=self.evaluate_mean)
         self.last_trace = result.trace
         solution = result.solution.reshape(self.horizon, self.act_dim)
         self._prev_solution = solution
@@ -280,7 +301,11 @@ def create_mpc_agent(model_env, horizon: int, act_dim: int, action_low,
                      action_high, particles: int = 20,
                      cem_config: CEMConfig | None = None,
                      sample: bool = True) -> TrajectoryOptimizerAgent:
-    """MPC agent whose trajectories are evaluated in the given ModelEnv."""
+    """MPC agent whose trajectories are evaluated in the given ModelEnv.
+
+    It keeps evaluate_mean: the final mean's rollout draws from rng, so
+    dropping it would move every later plan and a run's bytes.
+    """
 
     def eval_fn(initial_obs, sequences, rng):
         return evaluate_action_sequences(

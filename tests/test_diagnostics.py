@@ -3,14 +3,16 @@ import csv
 import numpy as np
 import pytest
 
+from mbrlkit import diagnostics, planning
 from mbrlkit.data import ReplayBuffer, Transition, ValidationError
 from mbrlkit.diagnostics import (EvaluationTable, dataset_evaluate,
                                  save_rollout_comparison, true_env_cem_control,
                                  visualize_rollout)
-from mbrlkit.envs import CartPoleContinuousEnv, cartpole_reward, no_termination
+from mbrlkit.envs import (CartPoleContinuousEnv, PendulumEnv, cartpole_reward,
+                          make_env, no_termination)
 from mbrlkit.models import (GaussianMLPEnsemble, ModelEnv, ModelTrainer,
                             TransitionRewardWrapper)
-from mbrlkit.planning import CEMConfig, RandomAgent
+from mbrlkit.planning import CEMConfig, RandomAgent, TrajectoryOptimizerAgent
 
 
 def linear_wrapper(obs_dim=1, act_dim=1, deterministic=True):
@@ -217,6 +219,148 @@ class TestTrueEnvCEMControl:
         returns = true_env_cem_control("cartpole_continuous", cfg, 15, 1,
                                        seed=0, trial_length=50)
         assert returns[0] == 50.0
+
+
+def row_loop_values(env_cls, initial_obs, sequences):
+    """Each candidate's return on the true dynamics, one `step_batch` row
+    per candidate; a candidate earns nothing after its first done."""
+    n = sequences.shape[0]
+    states = np.repeat(np.asarray(initial_obs)[None], n, axis=0)
+    total = np.zeros(n)
+    alive = np.ones(n, dtype=bool)
+    for t in range(sequences.shape[1]):
+        states, rewards, dones = env_cls.step_batch(states, sequences[:, t])
+        total += np.where(alive, rewards, 0.0)
+        alive &= ~dones
+    return total
+
+
+def reference_true_env_control(env_name, cem_config, horizon, episodes,
+                               seed, trial_length):
+    """True-env CEM control as a loop over (B, D) `step_batch` rows, one row
+    per candidate, with CEM's final mean evaluated at every decision."""
+    env, _, _ = make_env(env_name)
+    spec = env.spec
+
+    def eval_fn(initial_obs, sequences, rng):
+        return row_loop_values(type(env), initial_obs, sequences)
+
+    agent = TrajectoryOptimizerAgent(
+        eval_fn, horizon, spec.act_dim, spec.action_low, spec.action_high,
+        cem_config, evaluate_mean=True)
+    rng = np.random.default_rng(seed)
+    returns = []
+    for _ in range(episodes):
+        obs = env.reset(rng)
+        agent.reset()
+        total = 0.0
+        for _ in range(trial_length):
+            obs, reward, done = env.step(agent.act(obs, rng))
+            total += reward
+            if done:
+                break
+        returns.append(total)
+    return returns
+
+
+class TestTrueEnvCEMControlOracle:
+    """`true_env_cem_control` (column-major steps, no final-mean rollout)
+    scores, acts and returns exactly as the row-layout loop that also
+    scores the final mean."""
+
+    @pytest.mark.parametrize("env_name,env_cls,horizon,trial_length", [
+        ("cartpole_continuous", CartPoleContinuousEnv, 15, 40),
+        ("pendulum", PendulumEnv, 8, 25)])
+    def test_same_values_actions_and_returns(self, monkeypatch, env_name,
+                                             env_cls, horizon, trial_length):
+        cfg = CEMConfig(population=40, elite_count=5, iterations=3,
+                        initial_var=0.25)
+        log = []  # (candidates, values) of every objective call, in order
+        real_cem = planning.cem_optimize
+
+        def recording_cem(objective, *args, **kwargs):
+            def recorded(candidates):
+                values = objective(candidates)
+                log.append((candidates.copy(), np.array(values)))
+                return values
+            return real_cem(recorded, *args, **kwargs)
+
+        real_step = env_cls.step
+
+        def recording_step(env, action):
+            log.append(np.array(action, dtype=np.float64))
+            return real_step(env, action)
+
+        monkeypatch.setattr(planning, "cem_optimize", recording_cem)
+        monkeypatch.setattr(env_cls, "step", recording_step)
+        got = true_env_cem_control(env_name, cfg, horizon, 2, seed=11,
+                                   trial_length=trial_length)
+        got_log, log[:] = list(log), []
+        want = reference_true_env_control(env_name, cfg, horizon, 2, 11,
+                                          trial_length)
+        assert got == want
+        # the reference also scores each decision's final mean, one row
+        final_means = [entry for entry in log
+                       if isinstance(entry, tuple) and len(entry[0]) == 1]
+        want_log = [entry for entry in log
+                    if not (isinstance(entry, tuple) and len(entry[0]) == 1)]
+        decisions = sum(not isinstance(entry, tuple) for entry in log)
+        assert decisions > trial_length
+        assert len(final_means) == decisions
+        assert len(got_log) == len(want_log) == decisions * (
+            cfg.iterations + 1)
+        for a, b in zip(got_log, want_log):
+            if isinstance(b, tuple):
+                assert a[0].tobytes() == b[0].tobytes()
+                assert a[1].tobytes() == b[1].tobytes()
+            else:
+                assert a.tobytes() == b.tobytes()
+
+
+    @pytest.mark.parametrize("env_name,env_cls,starts", [
+        ("cartpole_continuous", CartPoleContinuousEnv,
+         # at rest; drifting over the track limit and pushed back; the pole
+         # leaving +/-12 degrees and pushed back
+         [[0.0, 0.0, 0.0, 0.0], [2.39, 0.5, 0.0, 0.0],
+          [-2.39, -0.5, 0.0, 0.0], [0.0, 0.0, 0.2, 0.3],
+          [0.0, 0.0, -0.2, -0.3]]),
+        ("pendulum", PendulumEnv,
+         [[0.0, 0.0], [np.pi, 0.0], [np.pi - 0.05, 2.0], [-np.pi, -7.9],
+          [1.0, 8.0]])])
+    def test_evaluator_matches_row_loop(self, monkeypatch, env_name, env_cls,
+                                        starts):
+        evaluators = []
+
+        class Capture(TrajectoryOptimizerAgent):
+            def __init__(self, trajectory_eval_fn, *args, **kwargs):
+                evaluators.append(trajectory_eval_fn)
+                super().__init__(trajectory_eval_fn, *args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "TrajectoryOptimizerAgent", Capture)
+        true_env_cem_control(env_name, CEMConfig(), 12, 0)
+        (eval_fn,) = evaluators
+        rng = np.random.default_rng(3)
+        high = env_cls.spec.action_high
+        rewarded_after_done = 0
+        for start in starts:
+            # actions inside and outside the box; constant pushes either way
+            sequences = np.concatenate([
+                rng.uniform(-1.5 * high, 1.5 * high, (30, 12, 1)),
+                np.full((1, 12, 1), -high), np.full((1, 12, 1), high)])
+            start = np.array(start)
+            got = eval_fn(start, sequences, None)
+            want = row_loop_values(env_cls, start, sequences)
+            assert got.tobytes() == want.tobytes()
+            states = np.repeat(start[None], len(sequences), axis=0)
+            unmasked = np.zeros(len(sequences))
+            for t in range(sequences.shape[1]):
+                states, rewards, _ = env_cls.step_batch(states,
+                                                        sequences[:, t])
+                unmasked += rewards
+            rewarded_after_done += int(np.sum(unmasked != want))
+        if env_cls is CartPoleContinuousEnv:
+            # some candidates come back inside the limits after their done
+            assert rewarded_after_done > 0
 
 
 class TestModelDistributionShift:

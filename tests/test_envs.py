@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbrlkit.envs import (ENV_CLASSES, CartPoleContinuousEnv, PendulumEnv,
                           angle_wrap, cartpole_reward, cartpole_termination,
@@ -166,6 +168,205 @@ class TestPendulum:
             assert np.array_equal(obs, next_batch[i])
             assert reward == rew_batch[i]
         assert not done_batch.any()
+
+
+# --- independent (B, D) references of the environments' formulas -----------
+# Written out here in row layout (strided columns, np.clip, np.stack), with
+# their own constants, so the column step is checked against the equations
+# themselves and not against another path through the same code.
+
+CARTPOLE_THETA_LIMIT = 12.0 * math.pi / 180.0
+
+
+def reference_angle_wrap(theta):
+    return np.pi - np.mod(np.pi - theta, 2.0 * np.pi)
+
+
+def reference_cartpole_termination(next_obs):
+    return ((np.abs(next_obs[:, 0]) > 2.4)
+            | (np.abs(next_obs[:, 2]) > CARTPOLE_THETA_LIMIT))
+
+
+def reference_cartpole_step(states, actions):
+    x, x_dot, theta, theta_dot = states.T
+    force = 10.0 * np.clip(actions[:, 0], -1.0, 1.0)
+    total_mass = 1.0 + 0.1
+    polemass_length = 0.1 * 0.5
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    temp = (force + polemass_length * theta_dot ** 2 * sin_t) / total_mass
+    theta_acc = (9.8 * sin_t - cos_t * temp) / (
+        0.5 * (4.0 / 3.0 - 0.1 * cos_t ** 2 / total_mass))
+    x_acc = temp - polemass_length * theta_acc * cos_t / total_mass
+    next_states = np.stack([x + 0.02 * x_dot, x_dot + 0.02 * x_acc,
+                            theta + 0.02 * theta_dot,
+                            theta_dot + 0.02 * theta_acc], axis=1)
+    done = reference_cartpole_termination(next_states)
+    return next_states, np.where(done, 0.0, 1.0), done
+
+
+def reference_pendulum_reward(actions, next_obs):
+    theta = reference_angle_wrap(next_obs[:, 0])
+    torque = np.clip(actions[:, 0], -2.0, 2.0)
+    return -(theta ** 2 + 0.1 * next_obs[:, 1] ** 2 + 0.001 * torque ** 2)
+
+
+def reference_pendulum_step(states, actions):
+    theta, theta_dot = states.T
+    torque = np.clip(actions[:, 0], -2.0, 2.0)
+    acc = (3.0 * 10.0 / (2.0 * 1.0) * np.sin(theta)
+           + 3.0 / (1.0 * 1.0 ** 2) * torque)
+    next_states = np.stack([
+        reference_angle_wrap(theta + 0.05 * theta_dot),
+        np.clip(theta_dot + 0.05 * acc, -8.0, 8.0)], axis=1)
+    return (next_states, reference_pendulum_reward(actions, next_states),
+            np.zeros(len(next_states), dtype=bool))
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if got.dtype == np.float64:
+        got, want = got.view(np.uint64), want.view(np.uint64)
+    np.testing.assert_array_equal(got, want)
+
+
+def near(values, spread):
+    """Values on, one ulp either side of, and within spread of each value."""
+    values = [float(v) for v in values]
+    edges = [np.nextafter(v, side) for v in values for side in (-np.inf,
+                                                                np.inf)]
+    return st.one_of(st.sampled_from(values + edges),
+                     st.sampled_from(values).flatmap(
+                         lambda v: st.floats(v - spread, v + spread)))
+
+
+# every magnitude a float64 state can take
+ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+SMALL = st.floats(-1.0, 1.0)
+ACTION = st.one_of(st.floats(-3.0, 3.0), ANY_FLOAT,
+                   st.sampled_from([-2.0, -1.0, 1.0, 2.0]))
+
+
+@st.composite
+def cartpole_batches(draw):
+    """(B, 4) states and (B, 1) actions; some rows step across +/-2.4 or
+    +/-12 degrees (a row with zero velocity lands exactly where it is)."""
+    b = draw(st.integers(1, 12))
+    position = st.one_of(SMALL, ANY_FLOAT, near([-2.4, 2.4], 0.05))
+    angle = st.one_of(SMALL, ANY_FLOAT,
+                      near([-CARTPOLE_THETA_LIMIT, CARTPOLE_THETA_LIMIT],
+                           0.02))
+    velocity = st.one_of(st.just(0.0), SMALL, st.floats(-5.0, 5.0), ANY_FLOAT)
+    states = [[draw(position), draw(velocity), draw(angle), draw(velocity)]
+              for _ in range(b)]
+    actions = [[draw(ACTION)] for _ in range(b)]
+    return np.array(states, dtype=np.float64), np.array(actions)
+
+
+@st.composite
+def pendulum_batches(draw):
+    """(B, 2) states and (B, 1) actions; some angles sit near +/-pi and
+    some speeds near the +/-8 clip."""
+    b = draw(st.integers(1, 12))
+    angle = st.one_of(st.floats(-4.0, 4.0), ANY_FLOAT,
+                      near([-math.pi, math.pi], 0.2))
+    speed = st.one_of(st.floats(-9.0, 9.0), ANY_FLOAT, near([-8.0, 8.0], 1.0))
+    states = [[draw(angle), draw(speed)] for _ in range(b)]
+    actions = [[draw(ACTION)] for _ in range(b)]
+    return np.array(states, dtype=np.float64), np.array(actions)
+
+
+class TestStepColumns:
+    """`step_columns` is each environment's one set of equations."""
+
+    CASES = [(CartPoleContinuousEnv, reference_cartpole_step),
+             (PendulumEnv, reference_pendulum_step)]
+
+    def check(self, env_cls, reference, states, actions):
+        want = reference(states, actions)
+        # strided views of rows, contiguous columns, and into `out`
+        out = np.empty(states.shape[::-1])
+        for columns, acts, into in (
+                (states.T, actions.T, None),
+                (np.ascontiguousarray(states.T),
+                 np.ascontiguousarray(actions.T), None),
+                (states.T, actions.T, out)):
+            next_cols, reward, done = env_cls.step_columns(columns, acts,
+                                                           out=into)
+            if into is not None:
+                assert next_cols is into
+            assert_same_bits(next_cols.T, want[0])
+            assert_same_bits(reward, want[1])
+            assert_same_bits(done, want[2])
+        next_rows, reward, done = env_cls.step_batch(states, actions)
+        assert next_rows.flags.c_contiguous
+        assert_same_bits(next_rows, want[0])
+        assert_same_bits(reward, want[1])
+        assert_same_bits(done, want[2])
+
+    @given(cartpole_batches())
+    @settings(max_examples=300)
+    def test_cartpole_matches_row_formulas(self, batch):
+        states, actions = batch
+        with np.errstate(all="ignore"):
+            self.check(CartPoleContinuousEnv, reference_cartpole_step,
+                       states, actions)
+            assert_same_bits(cartpole_termination(actions, states),
+                             reference_cartpole_termination(states))
+
+    @given(pendulum_batches())
+    @settings(max_examples=300)
+    def test_pendulum_matches_row_formulas(self, batch):
+        states, actions = batch
+        with np.errstate(all="ignore"):
+            self.check(PendulumEnv, reference_pendulum_step, states, actions)
+            assert_same_bits(pendulum_reward(actions, states),
+                             reference_pendulum_reward(actions, states))
+
+    def test_limits_are_crossed_both_ways(self):
+        # rows at rest land exactly on, or one ulp past, each limit
+        limits = [(0, 2.4), (0, -2.4), (2, CARTPOLE_THETA_LIMIT),
+                  (2, -CARTPOLE_THETA_LIMIT)]
+        states = []
+        for dim, limit in limits:
+            for value in (limit, np.nextafter(limit, -limit),
+                          np.nextafter(limit, 2 * limit)):
+                row = np.zeros(4)
+                row[dim] = value
+                states.append(row)
+        states = np.array(states)
+        actions = np.zeros((len(states), 1))
+        want = reference_cartpole_step(states, actions)
+        assert want[2].tolist() == [False, False, True] * 4
+        next_cols, reward, done = CartPoleContinuousEnv.step_columns(
+            states.T, actions.T)
+        assert_same_bits(next_cols.T, want[0])
+        assert_same_bits(reward, want[1])
+        assert_same_bits(done, want[2])
+
+    def test_pendulum_wraps_at_pi_and_clips_speed(self):
+        states = np.array([[math.pi, 0.0], [-math.pi, 0.0],
+                           [math.pi - 0.01, 1.0], [0.0, 8.0], [0.0, -8.0],
+                           [1.0, 7.9]])
+        actions = np.array([[0.0], [0.0], [0.0], [5.0], [-5.0], [2.0]])
+        want = reference_pendulum_step(states, actions)
+        next_cols, reward, _ = PendulumEnv.step_columns(states.T, actions.T)
+        assert_same_bits(next_cols.T, want[0])
+        assert_same_bits(reward, want[1])
+        assert next_cols[0, 2] < 0.0  # crossed pi and wrapped
+        assert next_cols[1].tolist()[3:] == [8.0, -8.0, 8.0]
+
+    @pytest.mark.parametrize("env_cls", [CartPoleContinuousEnv, PendulumEnv])
+    def test_step_batch_rows_are_c_contiguous_float64(self, env_cls):
+        d = env_cls.spec.obs_dim
+        for states in (np.zeros((7, d)), np.zeros((7, 2 * d))[:, ::2],
+                       np.zeros((d, 7)).T, np.zeros((7, d), dtype=np.float32),
+                       np.zeros(d)):
+            next_rows, reward, done = env_cls.step_batch(
+                states, np.zeros((len(np.atleast_2d(states)), 1)))
+            assert next_rows.dtype == np.float64
+            assert next_rows.flags.c_contiguous
+            assert next_rows.shape == np.atleast_2d(states).shape
+            assert reward.shape == done.shape == (next_rows.shape[0],)
 
 
 class TestRewardAndTerminationFns:

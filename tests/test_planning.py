@@ -155,6 +155,44 @@ class TestCEM:
         for row in res.trace:
             assert row.var_norm <= np.linalg.norm(var_cap)
 
+    @pytest.mark.parametrize("return_mean_elites", [True, False])
+    def test_evaluate_mean_false_skips_only_the_final_mean(
+            self, return_mean_elites):
+        cfg = CEMConfig(population=30, elite_count=4, iterations=4,
+                        initial_var=4.0,
+                        return_mean_elites=return_mean_elites)
+        runs = {}
+        for evaluate_mean in (True, False):
+            calls = []
+
+            def objective(x):
+                calls.append(x.copy())
+                return quadratic(x)
+
+            rng = np.random.default_rng(5)
+            res = cem_optimize(objective, cfg, np.zeros(2), -10.0, 10.0, rng,
+                               evaluate_mean=evaluate_mean)
+            runs[evaluate_mean] = (res, calls, rng.bit_generator.state)
+        with_mean, calls_with, state_with = runs[True]
+        without, calls_without, state_without = runs[False]
+        assert len(calls_without) == cfg.iterations
+        for a, b in zip(calls_with, calls_without):
+            assert np.array_equal(a, b)
+        assert np.array_equal(with_mean.solution, without.solution)
+        assert state_with == state_without
+        assert [r.best_value for r in with_mean.trace] == \
+            [r.best_value for r in without.trace]
+        if return_mean_elites:
+            assert len(calls_with) == cfg.iterations + 1
+            assert np.array_equal(calls_with[-1], with_mean.solution[None])
+            assert with_mean.value == quadratic(with_mean.solution[None])[0]
+            assert without.value is None
+        else:
+            # the best sample's value needs no extra call either way
+            assert len(calls_with) == cfg.iterations
+            assert with_mean.value == without.value
+            assert without.value == without.trace[-1].best_value
+
     def test_bad_config_rejected(self):
         with pytest.raises(ValidationError):
             CEMConfig(population=10, elite_count=11).validate()
@@ -514,6 +552,20 @@ class TestMPCAgent:
             alpha=0.0))
         action = agent.act(np.array([0.0]), np.random.default_rng(0))
         assert action[0] > 0.8
+
+    @pytest.mark.parametrize("evaluate_mean", [True, False])
+    def test_evaluate_mean_sets_evaluations_per_decision(self, evaluate_mean):
+        cfg = CEMConfig(population=20, elite_count=2, iterations=3)
+        calls = []
+
+        def eval_fn(obs, seqs, rng):
+            calls.append(len(seqs))
+            return -np.abs(seqs).sum(axis=(1, 2))
+
+        agent = TrajectoryOptimizerAgent(eval_fn, 4, 1, -1.0, 1.0, cfg,
+                                         evaluate_mean=evaluate_mean)
+        agent.act(np.zeros(1), np.random.default_rng(0))
+        assert calls == [20] * 3 + ([1] if evaluate_mean else [])
 
     def test_warm_start_shift(self):
         agent = make_mpc(horizon=3)
