@@ -300,13 +300,14 @@ class TestTrueEnvCEMControlOracle:
                                           trial_length)
         assert got == want
         # the reference also scores each decision's final mean, one row
-        final_means = [entry for entry in log
-                       if isinstance(entry, tuple) and len(entry[0]) == 1]
-        want_log = [entry for entry in log
-                    if not (isinstance(entry, tuple) and len(entry[0]) == 1)]
+        def final_mean(entry):
+            return isinstance(entry, tuple) and len(entry[0]) == 1
+
+        want_log = [entry for entry in log if not final_mean(entry)]
+        final_means = len(log) - len(want_log)
         decisions = sum(not isinstance(entry, tuple) for entry in log)
         assert decisions > trial_length
-        assert len(final_means) == decisions
+        assert final_means == decisions
         assert len(got_log) == len(want_log) == decisions * (
             cfg.iterations + 1)
         for a, b in zip(got_log, want_log):
@@ -315,7 +316,6 @@ class TestTrueEnvCEMControlOracle:
                 assert a[1].tobytes() == b[1].tobytes()
             else:
                 assert a.tobytes() == b.tobytes()
-
 
     @pytest.mark.parametrize("env_name,env_cls,starts", [
         ("cartpole_continuous", CartPoleContinuousEnv,
