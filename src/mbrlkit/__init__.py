@@ -1,7 +1,7 @@
 """Model-based RL toolkit: probabilistic ensemble dynamics models with
 CEM-based model-predictive control, at desk scale."""
 
-from .data import (BootstrapIterator, Normalizer, ReplayBuffer, Transition,
+from .data import (BootstrapIterator, Normalizer, ReplayBuffer,
                    TransitionBatch, TransitionIterator, ValidationError,
                    train_val_split)
 from .models import (GaussianMLPEnsemble, ModelEnv, ModelTrainer,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import ReplayBuffer, Transition, ValidationError, train_val_split
+from .data import ReplayBuffer, ValidationError, train_val_split
 from .envs import make_env
 from .fileio import replace_on_success
 from .models import (GaussianMLPEnsemble, ModelEnv, ModelTrainer,
@@ -160,7 +160,7 @@ def rollout_agent_trajectories(env, num_steps: int, agent, buffer: ReplayBuffer,
         for _ in range(trial_length):
             action = np.atleast_1d(agent.act(obs, rng))
             next_obs, reward, done = env.step(action)
-            buffer.add(Transition(obs, action, next_obs, reward, done))
+            buffer.add(obs, action, next_obs, reward, done)
             obs = next_obs
             collected += 1
             if done or collected >= num_steps:
@@ -210,8 +210,8 @@ def pets_run(cfg: PETSConfig, env=None, term_fn=None, reward_fn=None,
     """Full PETS experiment; deterministic end-to-end for a fixed seed.
 
     When out_dir is given, persists results.csv, model.ckpt.npz, buffer.dat
-    and trainer_report.json at every trial end, each replaced whole (a
-    killed run leaves the previous trial's files, never torn ones).
+    and trainer_report.json at every trial end, each replaced whole, never
+    torn; a run killed between two replacements leaves files of two trials.
     """
     import pathlib
 
@@ -244,12 +244,13 @@ def pets_run(cfg: PETSConfig, env=None, term_fn=None, reward_fn=None,
     last_report = None
 
     def retrain():
-        nonlocal steps_since_train, last_report
+        nonlocal steps_since_train, last_report, trial_epochs
         last_report = train_model_on_buffer(
             wrapper, trainer, buffer, cfg.validation_ratio,
             cfg.model_batch_size, rng, cfg.num_epochs, cfg.patience,
             normalize=cfg.normalize, shuffle_each_epoch=cfg.shuffle_each_epoch)
         steps_since_train = 0
+        trial_epochs += len(last_report.train_losses)
 
     if out_dir is not None:
         out_dir = pathlib.Path(out_dir)
@@ -257,19 +258,18 @@ def pets_run(cfg: PETSConfig, env=None, term_fn=None, reward_fn=None,
 
     for trial in range(1, cfg.num_trials + 1):
         trial_start = time.perf_counter()
+        trial_epochs = 0  # epochs of the retrains run in this trial
         if cfg.retrain_at_trial_start or steps_since_train >= cfg.model_retrain_interval:
             retrain()
         obs = env.reset(rng)
         agent.reset()
         episode_return = 0.0
-        trial_epochs = len(last_report.train_losses) if last_report else 0
         for _ in range(cfg.trial_length):
             if steps_since_train >= cfg.model_retrain_interval:
                 retrain()
-                trial_epochs += len(last_report.train_losses)
             action = np.atleast_1d(agent.act(obs, rng))
             next_obs, reward, done = env.step(action)
-            buffer.add(Transition(obs, action, next_obs, reward, done))
+            buffer.add(obs, action, next_obs, reward, done)
             obs = next_obs
             episode_return += reward
             env_steps += 1

@@ -4,13 +4,16 @@ Everything downstream (model training, planning, diagnostics) consumes data
 through the types defined here, so the conventions are fixed once:
 
   - observations/actions/next observations are float64 row vectors,
-  - batches are columnar numpy arrays with a leading batch axis B,
-  - ensemble-aware batches carry an extra leading axis E (shapes E x B x ...).
+  - transitions live in one form, the columnar `TransitionBatch`: numpy
+    arrays with a leading batch axis B, or E x B for the per-member rows of
+    an ensemble training batch,
+  - rows are taken with `batch[idx]`, which indexes every field alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,43 +25,14 @@ class ValidationError(ValueError):
 
 
 @dataclass
-class Transition:
-    """A single experience tuple (obs, action, next_obs, reward, done)."""
-
-    obs: np.ndarray
-    action: np.ndarray
-    next_obs: np.ndarray
-    reward: float
-    done: bool
-
-    def __post_init__(self):
-        self.obs = np.asarray(self.obs, dtype=np.float64).ravel()
-        self.action = np.asarray(self.action, dtype=np.float64).ravel()
-        self.next_obs = np.asarray(self.next_obs, dtype=np.float64).ravel()
-        self.reward = float(self.reward)
-        self.done = bool(self.done)
-
-    def validate(self) -> None:
-        if self.obs.size < 1 or self.action.size < 1:
-            raise ValidationError("obs and action must be non-empty vectors")
-        if self.obs.shape != self.next_obs.shape:
-            raise ValidationError(
-                f"obs/next_obs shape mismatch: {self.obs.shape} vs {self.next_obs.shape}"
-            )
-        for name, arr in (("obs", self.obs), ("action", self.action),
-                          ("next_obs", self.next_obs)):
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"non-finite values in {name}")
-        if not np.isfinite(self.reward):
-            raise ValidationError("non-finite reward")
-
-
-@dataclass
 class TransitionBatch:
-    """Columnar batch of transitions.
+    """Columnar transitions (obs, action, next_obs, reward, done).
 
-    All fields share the same leading dimensions: either (B, ...) or, for
-    ensemble training batches, (E, B, ...).
+    All fields share the same leading dimensions: (B, ...) for buffer rows
+    and training batches, or (E, B, ...) for a bootstrap batch that holds
+    one row set per ensemble member. `batch[idx]` applies the same numpy
+    index to every field (a slice, a 1-D index array or a 2-D one of shape
+    (E, B)) and returns the rows as a new batch.
     """
 
     obs: np.ndarray
@@ -69,6 +43,8 @@ class TransitionBatch:
 
     def __post_init__(self):
         lead = self.reward.shape
+        if not lead:
+            raise ValidationError("a batch needs a leading batch axis")
         for name in ("obs", "action", "next_obs"):
             arr = getattr(self, name)
             if arr.shape[:-1] != lead:
@@ -81,34 +57,15 @@ class TransitionBatch:
     def __len__(self) -> int:
         return self.reward.shape[-1]
 
-    @property
-    def has_ensemble_axis(self) -> bool:
-        return self.reward.ndim == 2
-
-    def __getitem__(self, item):
-        if isinstance(item, (int, np.integer)):
-            if self.has_ensemble_axis:
-                raise IndexError("cannot index a single transition out of an "
-                                 "ensemble batch")
-            return Transition(
-                self.obs[item], self.action[item], self.next_obs[item],
-                float(self.reward[item]), bool(self.done[item]),
-            )
+    def __getitem__(self, idx) -> "TransitionBatch":
         return TransitionBatch(
-            self.obs[item], self.action[item], self.next_obs[item],
-            self.reward[item], self.done[item],
-        )
-
-    def gather_rows(self, indices: np.ndarray) -> "TransitionBatch":
-        """Row-gather along the batch axis (no ensemble axis expected)."""
-        return TransitionBatch(
-            self.obs[indices], self.action[indices], self.next_obs[indices],
-            self.reward[indices], self.done[indices],
+            self.obs[idx], self.action[idx], self.next_obs[idx],
+            self.reward[idx], self.done[idx],
         )
 
 
 class ReplayBuffer:
-    """Bounded FIFO transition store backed by preallocated arrays.
+    """Bounded FIFO transition store backed by one preallocated batch.
 
     Storage is lazily allocated on the first insertion, once the state and
     action dimensions are known. After `capacity` insertions the oldest
@@ -121,39 +78,49 @@ class ReplayBuffer:
         self.capacity = int(capacity)
         self.size = 0
         self.insert_cursor = 0
-        self._obs = None
-        self._action = None
-        self._next_obs = None
-        self._reward = None
-        self._done = None
+        self._storage: TransitionBatch | None = None
 
-    @property
-    def obs_dim(self):
-        return None if self._obs is None else self._obs.shape[1]
+    def add(self, obs, action, next_obs, reward, done) -> None:
+        """Stores one transition, given as its fields, at the insert cursor.
 
-    @property
-    def action_dim(self):
-        return None if self._action is None else self._action.shape[1]
-
-    def _ensure_storage(self, obs_dim: int, action_dim: int) -> None:
-        if self._obs is None:
-            self._obs = np.empty((self.capacity, obs_dim))
-            self._action = np.empty((self.capacity, action_dim))
-            self._next_obs = np.empty((self.capacity, obs_dim))
-            self._reward = np.empty(self.capacity)
-            self._done = np.empty(self.capacity, dtype=bool)
-
-    def add(self, t: Transition) -> None:
-        t.validate()
-        self._ensure_storage(t.obs.size, t.action.size)
-        if t.obs.size != self._obs.shape[1] or t.action.size != self._action.shape[1]:
+        obs, action and next_obs are flattened to float64 vectors. Every
+        check runs before anything is written, so a rejected transition
+        leaves the buffer unchanged: ValidationError is raised for an empty
+        obs or action, an obs/next_obs shape mismatch, a non-finite value
+        in any field, or dims that differ from the stored transitions'.
+        """
+        obs = np.asarray(obs, dtype=np.float64).ravel()
+        action = np.asarray(action, dtype=np.float64).ravel()
+        next_obs = np.asarray(next_obs, dtype=np.float64).ravel()
+        reward = float(reward)
+        done = bool(done)
+        if obs.size < 1 or action.size < 1:
+            raise ValidationError("obs and action must be non-empty vectors")
+        if obs.shape != next_obs.shape:
+            raise ValidationError(
+                f"obs/next_obs shape mismatch: {obs.shape} vs {next_obs.shape}"
+            )
+        for name, arr in (("obs", obs), ("action", action),
+                          ("next_obs", next_obs)):
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"non-finite values in {name}")
+        if not math.isfinite(reward):
+            raise ValidationError("non-finite reward")
+        data = self._storage
+        if data is None:
+            n = self.capacity
+            data = self._storage = TransitionBatch(
+                np.empty((n, obs.size)), np.empty((n, action.size)),
+                np.empty((n, obs.size)), np.empty(n), np.empty(n, dtype=bool),
+            )
+        elif obs.size != data.obs.shape[1] or action.size != data.action.shape[1]:
             raise ValidationError("transition dims do not match buffer storage")
         i = self.insert_cursor
-        self._obs[i] = t.obs
-        self._action[i] = t.action
-        self._next_obs[i] = t.next_obs
-        self._reward[i] = t.reward
-        self._done[i] = t.done
+        data.obs[i] = obs
+        data.action[i] = action
+        data.next_obs[i] = next_obs
+        data.reward[i] = reward
+        data.done[i] = done
         self.insert_cursor = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
@@ -168,40 +135,30 @@ class ReplayBuffer:
         return np.concatenate([np.arange(c, self.capacity), np.arange(c)])
 
     def get_all(self) -> TransitionBatch:
+        """Every stored transition, oldest first, as a copy."""
         if self.size == 0:
             raise ValidationError("buffer is empty")
-        order = self._valid_order()
-        return TransitionBatch(
-            self._obs[order].copy(), self._action[order].copy(),
-            self._next_obs[order].copy(), self._reward[order].copy(),
-            self._done[order].copy(),
-        )
+        return self._storage[self._valid_order()]
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> TransitionBatch:
         """Uniform sample with replacement; deterministic for a fixed rng state."""
         if self.size == 0:
             raise ValidationError("cannot sample from an empty buffer")
         idx = rng.integers(0, self.size, size=int(batch_size))
-        order = self._valid_order()[idx]
-        return TransitionBatch(
-            self._obs[order], self._action[order], self._next_obs[order],
-            self._reward[order], self._done[order],
-        )
+        return self._storage[self._valid_order()[idx]]
 
     def save(self, path) -> None:
         """Text format: header `S A size capacity`, one transition per line.
         The file is replaced whole, never torn."""
         batch = self.get_all()
         s, a = batch.obs.shape[1], batch.action.shape[1]
+        rows = np.concatenate([batch.obs, batch.action, batch.next_obs,
+                               batch.reward[:, None]], axis=1)
         with replace_on_success(path) as tmp, open(tmp, "w") as f:
             f.write(f"{s} {a} {self.size} {self.capacity}\n")
-            for i in range(len(batch)):
-                row = np.concatenate([
-                    batch.obs[i], batch.action[i], batch.next_obs[i],
-                    [batch.reward[i]],
-                ])
+            for row, done in zip(rows, batch.done):
                 vals = " ".join(repr(float(v)) for v in row)
-                f.write(f"{vals} {int(batch.done[i])}\n")
+                f.write(f"{vals} {int(done)}\n")
 
     @classmethod
     def load(cls, path) -> "ReplayBuffer":
@@ -219,10 +176,8 @@ class ReplayBuffer:
                         f"{path}:{lineno}: expected {width} columns, got {len(parts)}"
                     )
                 vals = np.array([float(v) for v in parts[:-1]])
-                buf.add(Transition(
-                    vals[:s], vals[s:s + a], vals[s + a:2 * s + a],
-                    vals[2 * s + a], bool(int(parts[-1])),
-                ))
+                buf.add(vals[:s], vals[s:s + a], vals[s + a:2 * s + a],
+                        vals[2 * s + a], bool(int(parts[-1])))
         if buf.size != size:
             raise ValidationError(f"{path}: header size {size} != {buf.size} rows")
         return buf
@@ -256,7 +211,7 @@ class TransitionIterator:
         if self.shuffle_each_epoch:
             self._rng.shuffle(self.indices)
         for start in range(0, len(self.dataset), self.batch_size):
-            yield self.dataset.gather_rows(self.indices[start:start + self.batch_size])
+            yield self.dataset[self.indices[start:start + self.batch_size]]
 
 
 class BootstrapIterator:
@@ -294,12 +249,7 @@ class BootstrapIterator:
                              for _ in range(self.ensemble_size)])
             order = np.take_along_axis(self.member_indices, perm, axis=1)
         for start in range(0, n, self.batch_size):
-            cols = order[:, start:start + self.batch_size]
-            yield TransitionBatch(
-                self.dataset.obs[cols], self.dataset.action[cols],
-                self.dataset.next_obs[cols], self.dataset.reward[cols],
-                self.dataset.done[cols],
-            )
+            yield self.dataset[order[:, start:start + self.batch_size]]
 
 
 def train_val_split(buffer: ReplayBuffer, validation_ratio: float,
@@ -319,7 +269,7 @@ def train_val_split(buffer: ReplayBuffer, validation_ratio: float,
     perm = rng.permutation(n)
     n_val = int(np.floor(validation_ratio * n))
     val_idx, train_idx = perm[:n_val], perm[n_val:]
-    train_data = data.gather_rows(train_idx)
+    train_data = data[train_idx]
     if ensemble_size is None:
         train_iter = TransitionIterator(train_data, batch_size, rng,
                                         shuffle_each_epoch)
@@ -328,7 +278,7 @@ def train_val_split(buffer: ReplayBuffer, validation_ratio: float,
                                        rng, shuffle_each_epoch)
     val_iter = None
     if n_val > 0:
-        val_iter = TransitionIterator(data.gather_rows(val_idx), batch_size,
+        val_iter = TransitionIterator(data[val_idx], batch_size,
                                       rng, shuffle_each_epoch=False)
     return train_iter, val_iter
 

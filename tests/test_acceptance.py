@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from mbrlkit.algorithms import PETSConfig, pets_run
-from mbrlkit.data import (BootstrapIterator, ReplayBuffer, Transition,
-                          train_val_split)
+from mbrlkit.data import BootstrapIterator, ReplayBuffer, train_val_split
 from mbrlkit.diagnostics import dataset_evaluate, true_env_cem_control
 from mbrlkit.envs import no_termination
 from mbrlkit.models import (GaussianMLPEnsemble, ModelEnv, ModelTrainer,
@@ -132,8 +131,8 @@ class TestBootstrapStatistics:
         n = 1000
         buf = ReplayBuffer(n)
         for i in range(n):
-            buf.add(Transition(np.array([float(i)]), np.zeros(1),
-                               np.zeros(1), 0.0, False))
+            buf.add(np.array([float(i)]), np.zeros(1), np.zeros(1), 0.0,
+                    False)
         data = buf.get_all()
         fractions = []
         for seed in range(20):
@@ -308,7 +307,7 @@ class TestCalibration:
 
         buf = ReplayBuffer(n)
         for i in range(n):
-            buf.add(Transition(x[i], np.zeros(1), x[i] + y[i], 0.0, False))
+            buf.add(x[i], np.zeros(1), x[i] + y[i], 0.0, False)
         model = GaussianMLPEnsemble(2, 1, ensemble_size=1, num_layers=2,
                                     hid_size=24, deterministic=False, rng=rng)
         wrapper = TransitionRewardWrapper(model, 1, 1)
@@ -348,7 +347,7 @@ class TestDiagnosticsIntegrity:
                 for _ in range(50):
                     act = rng.uniform(-1, 1, size=1)
                     next_obs, reward, done = env.step(act)
-                    buf.add(Transition(obs, act, next_obs, reward, done))
+                    buf.add(obs, act, next_obs, reward, done)
                     obs = next_obs
                     if done or buf.size == buf.capacity:
                         break
@@ -385,7 +384,7 @@ class TestDiagnosticsIntegrity:
             obs = env.state.copy()
             act = rng.uniform(-1, 1, size=1)
             next_obs, reward, done = env.step(act)
-            off_buf.add(Transition(obs, act, next_obs, reward, done))
+            off_buf.add(obs, act, next_obs, reward, done)
         on_mse = float(dataset_evaluate(wrapper, train_buf).mse.mean())
         off_mse = float(dataset_evaluate(wrapper, off_buf).mse.mean())
         assert on_mse < off_mse

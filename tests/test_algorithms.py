@@ -91,10 +91,9 @@ class TestTrainModelOnBuffer:
         buf = ReplayBuffer(100)
         env = ScriptedEnv()
         # use cartpole-shaped data instead: random transitions
-        from mbrlkit.data import Transition
         for i in range(60):
-            buf.add(Transition(rng.standard_normal(4), rng.standard_normal(1),
-                               rng.standard_normal(4), float(i), False))
+            buf.add(rng.standard_normal(4), rng.standard_normal(1),
+                    rng.standard_normal(4), float(i), False)
         wrapper = build_wrapper(cfg, 4, 1, rng)
         trainer = ModelTrainer(wrapper, lr=cfg.lr, elite_count=cfg.elite_count)
         report = train_model_on_buffer(wrapper, trainer, buf, 0.2, 16, rng,
@@ -112,12 +111,11 @@ class TestTrainModelOnBuffer:
             cfg = small_cfg()
             rng = np.random.default_rng(1)
             buf = ReplayBuffer(50)
-            from mbrlkit.data import Transition
             data_rng = np.random.default_rng(2)
             for i in range(40):
-                buf.add(Transition(data_rng.standard_normal(4),
-                                   data_rng.standard_normal(1),
-                                   data_rng.standard_normal(4), 1.0, False))
+                buf.add(data_rng.standard_normal(4),
+                        data_rng.standard_normal(1),
+                        data_rng.standard_normal(4), 1.0, False)
             wrapper = build_wrapper(cfg, 4, 1, rng)
             trainer = ModelTrainer(wrapper, lr=cfg.lr,
                                    elite_count=cfg.elite_count)
@@ -160,18 +158,27 @@ class TestPETSRun:
         original = alg.train_model_on_buffer
 
         def spy(wrapper, trainer, buffer, *args, **kwargs):
-            calls.append(buffer.size)
-            return original(wrapper, trainer, buffer, *args, **kwargs)
+            report = original(wrapper, trainer, buffer, *args, **kwargs)
+            calls.append((buffer.size, len(report.train_losses)))
+            return report
 
         alg.train_model_on_buffer = spy
         try:
-            pets_run(cfg)
+            curve = pets_run(cfg)
         finally:
             alg.train_model_on_buffer = original
         # cartpole trials end early before the model trains, but the step
         # counter still crosses 250 and 500 at buffer sizes 250 and 500
         assert calls, "model never trained"
-        assert all(size % 250 == 0 for size in calls)
+        assert all(size % 250 == 0 for size, _ in calls)
+        # a trial reports the epochs of the retrains that ran in it, and
+        # none of an earlier trial's
+        start = cfg.initial_exploration_steps
+        for row in curve.rows:
+            assert row["train_epochs"] == sum(
+                epochs for size, epochs in calls
+                if start <= size < row["env_steps"])
+            start = row["env_steps"]
 
     def test_outputs_persisted(self, tmp_path):
         cfg = small_cfg()

@@ -6,49 +6,73 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbrlkit.data import (BootstrapIterator, Normalizer, ReplayBuffer,
-                          Transition, TransitionBatch, TransitionIterator,
+                          TransitionBatch, TransitionIterator,
                           ValidationError, train_val_split)
 
+FIELDS = ("obs", "action", "next_obs", "reward", "done")
 
-def make_transition(i, s=2, a=1):
-    return Transition(np.full(s, float(i)), np.full(a, 0.1 * i),
-                      np.full(s, float(i) + 1), float(i), False)
+
+def make_transition(i, s=2, a=1, done=False):
+    """The fields (obs, action, next_obs, reward, done) of transition i."""
+    return (np.full(s, float(i)), np.full(a, 0.1 * i),
+            np.full(s, float(i) + 1), float(i), done)
 
 
 def filled_buffer(n, capacity=None, s=2, a=1):
     buf = ReplayBuffer(capacity or n)
     for i in range(n):
-        buf.add(make_transition(i, s, a))
+        buf.add(*make_transition(i, s, a))
     return buf
+
+
+def rejected_adds(i):
+    """Variants of transition i that add must reject, for a buffer of
+    2-dim obs and 1-dim actions: a NaN or an inf in each field, an empty
+    obs or action, a mismatched next_obs, and wrong obs or action dims."""
+    obs, action, next_obs, reward, done = make_transition(i)
+    bad = []
+    for k in range(3):
+        for value in (np.nan, np.inf):
+            fields = [obs.copy(), action.copy(), next_obs.copy(), reward, done]
+            fields[k][0] = value
+            bad.append(fields)
+    return bad + [
+        [obs, action, next_obs, np.nan, done],
+        [obs, action, next_obs, np.inf, done],
+        [np.zeros(0), action, np.zeros(0), reward, done],
+        [obs, np.zeros(0), next_obs, reward, done],
+        [obs, action, np.zeros(3), reward, done],
+        [np.zeros(3), action, np.zeros(3), reward, done],
+        [obs, np.zeros(2), next_obs, reward, done],
+    ]
 
 
 class TestReplayBuffer:
     def test_first_insertion(self):
         buf = ReplayBuffer(3)
-        buf.add(make_transition(1))
+        buf.add(*make_transition(1))
         assert buf.size == 1
         assert buf.get_all().obs[0, 0] == 1.0
 
     def test_ring_overwrite(self):
         buf = filled_buffer(3, capacity=3)
-        buf.add(make_transition(3))
+        buf.add(*make_transition(3))
         assert buf.size == 3
         # oldest (0) evicted; insertion order preserved
         assert buf.get_all().obs[:, 0].tolist() == [1.0, 2.0, 3.0]
 
     def test_nan_reward_rejected(self):
         buf = ReplayBuffer(3)
-        t = make_transition(0)
-        t.reward = float("nan")
+        obs, action, next_obs, _, done = make_transition(0)
         with pytest.raises(ValidationError):
-            buf.add(t)
+            buf.add(obs, action, next_obs, float("nan"), done)
 
     def test_nonfinite_obs_rejected(self):
         buf = ReplayBuffer(3)
-        t = make_transition(0)
-        t.obs[0] = np.inf
+        obs, action, next_obs, reward, done = make_transition(0)
+        obs[0] = np.inf
         with pytest.raises(ValidationError):
-            buf.add(t)
+            buf.add(obs, action, next_obs, reward, done)
 
     def test_sample_single_element(self):
         buf = filled_buffer(1)
@@ -80,13 +104,44 @@ class TestReplayBuffer:
     @given(st.integers(min_value=1, max_value=8),
            st.integers(min_value=1, max_value=40))
     @settings(max_examples=40)
-    def test_fifo_matches_reference_queue(self, capacity, inserts):
+    def test_fifo_matches_reference_queue(self, tmp_path_factory, capacity,
+                                          inserts):
+        # a rejected add, whatever its fault, leaves the buffer as it was
         buf = ReplayBuffer(capacity)
+        with pytest.raises(ValidationError):
+            buf.add(*rejected_adds(0)[0])
+        assert buf.size == 0 and buf.insert_cursor == 0
         ref = deque(maxlen=capacity)
+        bad = rejected_adds(-1)
         for i in range(inserts):
-            buf.add(make_transition(i))
-            ref.append(float(i))
-        assert buf.get_all().obs[:, 0].tolist() == list(ref)
+            fields = make_transition(i, done=i % 3 == 0)
+            buf.add(*fields)
+            ref.append(fields)
+            before = buf.get_all()
+            size, cursor = buf.size, buf.insert_cursor
+            for fields in bad:
+                with pytest.raises(ValidationError):
+                    buf.add(*fields)
+            assert buf.size == size and buf.insert_cursor == cursor
+            after = buf.get_all()
+            for name in FIELDS:
+                assert np.array_equal(getattr(after, name),
+                                      getattr(before, name))
+        # the five fields match the reference queue, oldest first
+        batch = buf.get_all()
+        for k, name in enumerate(FIELDS):
+            got = getattr(batch, name)
+            assert got.dtype == (np.bool_ if name == "done" else np.float64)
+            assert np.array_equal(got, np.array([f[k] for f in ref]))
+        # and round-trip through buffer.dat bit-exactly
+        path = tmp_path_factory.mktemp("fifo") / "buffer.dat"
+        buf.save(path)
+        loaded = ReplayBuffer.load(path)
+        assert (loaded.size, loaded.capacity, loaded.insert_cursor) == \
+            (buf.size, capacity, buf.size % capacity)
+        for name in FIELDS:
+            a, b = getattr(batch, name), getattr(loaded.get_all(), name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_save_load_roundtrip(self, tmp_path):
         buf = filled_buffer(7, capacity=10)
@@ -103,9 +158,20 @@ class TestReplayBuffer:
 class TestTransitionBatch:
     def test_slicing_consistent(self):
         batch = filled_buffer(5).get_all()
-        t = batch[2]
-        assert isinstance(t, Transition)
-        assert t.obs[0] == 2.0 and t.reward == 2.0
+        row = batch[np.array([2])]
+        assert row.obs[0, 0] == 2.0 and row.reward[0] == 2.0
+        with pytest.raises(ValidationError):
+            batch[2]  # a lone row has no batch axis
+        # a slice, a 1-D and a bootstrap-shaped 2-D index take every field
+        # by the same index
+        for idx in (slice(1, 4), np.array([4, 0, 2, 2]),
+                    np.array([[3, 1], [0, 0], [4, 2]])):
+            rows = batch[idx]
+            assert isinstance(rows, TransitionBatch)
+            for name in FIELDS:
+                want, got = getattr(batch, name)[idx], getattr(rows, name)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
 
     def test_leading_dim_mismatch_rejected(self):
         with pytest.raises(ValidationError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mbrlkit import diagnostics, planning
-from mbrlkit.data import ReplayBuffer, Transition, ValidationError
+from mbrlkit.data import ReplayBuffer, ValidationError
 from mbrlkit.diagnostics import (EvaluationTable, dataset_evaluate,
                                  save_rollout_comparison, true_env_cem_control,
                                  visualize_rollout)
@@ -32,7 +32,7 @@ def linear_buffer(n=50, rng=None):
     for _ in range(n):
         obs = rng.standard_normal(1)
         act = rng.standard_normal(1)
-        buf.add(Transition(obs, act, obs + act, 0.0, False))
+        buf.add(obs, act, obs + act, 0.0, False)
     return buf
 
 
@@ -73,7 +73,7 @@ class TestDatasetEvaluate:
 
     def test_dim_mismatch_rejected(self):
         buf = ReplayBuffer(4)
-        buf.add(Transition(np.zeros(3), np.zeros(1), np.zeros(3), 0.0, False))
+        buf.add(np.zeros(3), np.zeros(1), np.zeros(3), 0.0, False)
         with pytest.raises(ValidationError):
             dataset_evaluate(linear_wrapper(), buf)
 
@@ -375,8 +375,7 @@ class TestModelDistributionShift:
             for _ in range(n):
                 obs = rng.uniform(low, high, size=1)
                 act = rng.uniform(-1, 1, size=1)
-                buf.add(Transition(obs, act, np.sin(3 * obs) + act, 0.0,
-                                   False))
+                buf.add(obs, act, np.sin(3 * obs) + act, 0.0, False)
 
         train_buf = ReplayBuffer(200)
         fill(train_buf, -1.0, 1.0)

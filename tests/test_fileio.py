@@ -9,7 +9,7 @@ import pytest
 from mbrlkit import algorithms, config, data, diagnostics, models
 from mbrlkit.algorithms import LearningCurve
 from mbrlkit.cli import cli_main
-from mbrlkit.data import ReplayBuffer, Transition
+from mbrlkit.data import ReplayBuffer
 from mbrlkit.fileio import replace_on_success
 from mbrlkit.models import (GaussianMLPEnsemble, TrainerReport,
                             TransitionRewardWrapper, save_model)
@@ -37,8 +37,8 @@ def failing_after(calls, fn):
 def filled_buffer(n):
     buf = ReplayBuffer(10)
     for i in range(n):
-        buf.add(Transition(np.full(2, float(i)), np.zeros(1),
-                           np.full(2, i + 1.0), float(i), False))
+        buf.add(np.full(2, float(i)), np.zeros(1), np.full(2, i + 1.0),
+                float(i), False)
     return buf
 
 

@@ -1,6 +1,8 @@
 """mbrlkit runs on numpy and pyyaml alone: importing any of its modules and
-running the CLI loads no scipy, and the package does not declare it."""
+running the CLI loads no scipy, and the package does not declare it. Nor
+does it import the benchmark that measures it."""
 
+import ast
 import json
 import os
 import re
@@ -51,3 +53,25 @@ def test_scipy_not_a_runtime_dependency():
     names = [re.split(r"[\s<>=!~;\[]", dep.strip(), maxsplit=1)[0].lower()
              for dep in project["dependencies"]]
     assert names and "scipy" not in names
+
+
+# the benchmark's package and its modules, which measure mbrlkit from outside
+BENCH_MODULES = {"bench", "checks", "tracing", "workloads"}
+
+
+def test_no_module_imports_the_benchmark():
+    paths = sorted((ROOT / "src" / "mbrlkit").rglob("*.py"))
+    assert paths
+    imports = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ([node.module] if node.module
+                         else [alias.name for alias in node.names])
+            else:
+                continue
+            imports += [(path.name, name) for name in names
+                        if name.split(".")[0] in BENCH_MODULES]
+    assert imports == []

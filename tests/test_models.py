@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbrlkit.data import (BootstrapIterator, ReplayBuffer, Transition,
-                          TransitionBatch, TransitionIterator, ValidationError)
+from mbrlkit.data import (BootstrapIterator, ReplayBuffer, TransitionBatch,
+                          TransitionIterator, ValidationError)
 from mbrlkit.models import (LOGVAR_BOUND_REG, GaussianMLPEnsemble,
                             MemberGroups, ModelEnv, ModelTrainer,
                             TransitionRewardWrapper, gaussian_nll_loss,
