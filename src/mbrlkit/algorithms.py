@@ -231,8 +231,7 @@ def pets_run(cfg: PETSConfig, env=None, term_fn=None, reward_fn=None,
         dtype=np.float32)
     agent = create_mpc_agent(
         model_env, cfg.horizon, spec.act_dim, spec.action_low,
-        spec.action_high, particles=cfg.particles, cem_config=cfg.cem,
-        sample=not cfg.deterministic)
+        spec.action_high, particles=cfg.particles, cem_config=cfg.cem)
     random_agent = RandomAgent(spec.act_dim, spec.action_low, spec.action_high)
 
     rollout_agent_trajectories(env, cfg.initial_exploration_steps,
@@ -288,7 +287,7 @@ def pets_run(cfg: PETSConfig, env=None, term_fn=None, reward_fn=None,
         if cfg.stop_on_return is not None and \
                 episode_return >= cfg.stop_on_return:
             break
-    if out_dir is not None:
+    if out_dir is not None and not curve.rows:
         curve.save(out_dir / "results.csv")
         if buffer.size:
             buffer.save(out_dir / "buffer.dat")

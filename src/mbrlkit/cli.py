@@ -99,11 +99,10 @@ def _cmd_visualize(args) -> int:
     agent = create_mpc_agent(
         model_env, args.horizon, env.spec.act_dim, env.spec.action_low,
         env.spec.action_high, particles=pets_cfg.particles,
-        cem_config=pets_cfg.cem, sample=not wrapper.model.deterministic)
+        cem_config=pets_cfg.cem)
     rng = np.random.default_rng(args.seed)
     _, true_traj, model_trajs = diagnostics.visualize_rollout(
-        model_env, env, agent, args.horizon, args.samples, rng,
-        sample=not wrapper.model.deterministic)
+        model_env, env, agent, args.horizon, args.samples, rng)
     diagnostics.save_rollout_comparison(true_traj, model_trajs, args.out)
     print(f"wrote rollout comparison for {true_traj.shape[1]} dimensions "
           f"to {args.out}")

@@ -81,10 +81,9 @@ def dataset_evaluate(wrapper: TransitionRewardWrapper,
 
 def visualize_rollout(model_env, env, agent, horizon: int,
                       num_model_samples: int, rng: np.random.Generator,
-                      initial_obs: np.ndarray | None = None,
-                      sample: bool = True):
+                      initial_obs: np.ndarray | None = None):
     """Plan with the agent, then apply the same actions to the true
-    environment and to num_model_samples model particles.
+    environment and to num_model_samples sampled model particles.
 
     Returns (actions (h, A), true_traj (h, S), model_trajs (M, h, S)).
     """
@@ -110,7 +109,7 @@ def visualize_rollout(model_env, env, agent, horizon: int,
     for t in range(horizon):
         act_batch = np.repeat(actions[t][None], num_model_samples, axis=0)
         next_obs, _, _, state = model_env.step(state, act_batch, rng,
-                                               sample=sample)
+                                               sample=True)
         model_trajs[:, t] = next_obs
     return actions, true_traj, model_trajs
 

@@ -469,14 +469,21 @@ class TransitionRewardWrapper:
         self.propagation = propagation
         self.normalizer = normalizer or Normalizer(expected_in)
 
+    def _inputs(self, obs: np.ndarray, action: np.ndarray,
+                dtype=np.float64) -> np.ndarray:
+        """The model's raw input rows in dtype: obs, then action."""
+        k = obs.shape[-1]
+        x = np.empty(obs.shape[:-1] + (k + action.shape[-1],), dtype)
+        x[..., :k] = obs
+        x[..., k:] = action
+        return x
+
     def update_normalizer(self, batch: TransitionBatch) -> None:
-        inputs = np.concatenate([batch.obs, batch.action], axis=-1)
-        self.normalizer.fit(inputs)
+        self.normalizer.fit(self._inputs(batch.obs, batch.action))
 
     def process_batch(self, batch: TransitionBatch):
         """Returns (model_input, model_target); handles an ensemble axis."""
-        x = self.normalizer.normalize(
-            np.concatenate([batch.obs, batch.action], axis=-1))
+        x = self.normalizer.normalize(self._inputs(batch.obs, batch.action))
         target = (batch.next_obs - batch.obs if self.target_is_delta
                   else batch.next_obs)
         if self.learned_rewards:
@@ -503,18 +510,17 @@ class TransitionRewardWrapper:
 
     def sample(self, obs: np.ndarray, action: np.ndarray,
                rng: np.random.Generator, sample: bool = True,
-               member_assignment: np.ndarray | None = None,
                groups: MemberGroups | None = None,
                stack: MemberStack | None = None):
         """Per-particle next-state (and reward) prediction.
 
-        With fixed_model propagation, member_assignment gives the ensemble
-        member for each particle, or groups gives the same grouping already
-        built (as `ModelEnv` does once per rollout); with ensemble_mean,
-        moments are averaged over the elites. The Gaussian noise draw is one
-        (P, D) block so results do not depend on how particles are grouped
-        by member, and a sampled prediction is mu + std * noise. The noise
-        and the predictions are float64.
+        With fixed_model propagation, groups (which `ModelEnv.step` builds
+        once per rollout) gives the ensemble member of each of the P
+        particles; with ensemble_mean, moments are averaged over the elites.
+        The Gaussian noise draw is one (P, D) block so results do not depend
+        on how particles are grouped by member, and a sampled prediction is
+        mu + std * noise; a deterministic model draws none. The noise and
+        the predictions are float64.
 
         The stack decides the precision of the model forward. Without one,
         it is float64 on the normalized inputs: each member on its own rows,
@@ -534,25 +540,13 @@ class TransitionRewardWrapper:
                 f"bad obs and action shapes {obs.shape}, {action.shape}")
         model = self.model
         p = len(obs)
+        x = self._inputs(obs, action, STACK_DTYPE if stack else np.float64)
         if stack is None:
-            x = self.normalizer.normalize(
-                np.concatenate([obs, action], axis=-1))
-        else:
-            x = np.empty((p, model.in_size), STACK_DTYPE)
-            x[:, :self.obs_dim] = obs
-            x[:, self.obs_dim:] = action
+            x = self.normalizer.normalize(x)
         if self.propagation == "fixed_model":
-            if groups is None:
-                if member_assignment is None:
-                    raise ValidationError(
-                        "fixed_model propagation requires a member assignment")
-                groups = MemberGroups.from_assignment(
-                    member_assignment, range(model.ensemble_size)
-                    if stack is None else stack.members)
-            if groups.unpad.size != p:
+            if groups is None or groups.unpad.size != p:
                 raise ValidationError(
-                    f"member assignment covers {groups.unpad.size} "
-                    f"particles, expected {p}")
+                    f"fixed_model needs member groups of the {p} particles")
             mu, std = model.grouped_forward(x, groups, stack)
         else:
             if stack is None:
@@ -637,8 +631,9 @@ class ModelTrainer:
             rows += b
         return (total / rows).mean(axis=1)
 
-    def train(self, train_iter, val_iter=None, num_epochs: int = 50,
-              patience: int = 10) -> TrainerReport:
+    def train(self, train_iter, val_iter=None, *, num_epochs: int,
+              patience: int) -> TrainerReport:
+        """Up to num_epochs epochs; stops after patience epochs with no gain."""
         start = time.perf_counter()
         if val_iter is None:
             eval_iter = TransitionIterator(
@@ -697,8 +692,8 @@ class ModelEnvState:
     steps run in float32; an episode without one steps in float64.
     `groups`, the member assignment grouped over the stack's members (over
     every ensemble index without a stack), is built and checked by the
-    episode's first step and carried by every later one: an episode steps
-    the same particles from start to end, so it groups them once.
+    episode's first step, the one place that builds groups, and handed to
+    `sample` by every step: an episode keeps its particles, so it groups once.
     """
 
     obs: np.ndarray                      # (P, S)

@@ -234,8 +234,8 @@ class TrajectoryOptimizerAgent(Agent):
     """MPC agent: optimizes an action sequence with CEM at every step.
 
     trajectory_eval_fn(initial_obs, sequences (N, h, A), rng) -> values (N,).
-    Successive calls warm-start from the previous solution shifted left one
-    step and padded with the center of the action box.
+    `act` is the first action of `plan`, which warm-starts from the previous
+    plan shifted left one step and padded with the center of the action box.
 
     evaluate_mean is passed on to `cem_optimize`. With return_mean_elites,
     True (the default) has each decision score the returned mean with one
@@ -260,11 +260,9 @@ class TrajectoryOptimizerAgent(Agent):
         self.cem_config = cem_config or CEMConfig()
         self.evaluate_mean = evaluate_mean
         self._prev_solution = None
-        self.last_trace = None
 
     def reset(self) -> None:
         self._prev_solution = None
-        self.last_trace = None
 
     def _initial_mean(self) -> np.ndarray:
         pad = ((self.low + self.high) / 2.0)[None]
@@ -272,8 +270,7 @@ class TrajectoryOptimizerAgent(Agent):
             return np.tile(pad, (self.horizon, 1))
         return np.concatenate([self._prev_solution[1:], pad])
 
-    def optimize(self, obs: np.ndarray,
-                 rng: np.random.Generator) -> np.ndarray:
+    def plan(self, obs, rng):
         obs = np.asarray(obs, dtype=np.float64).ravel()
 
         def objective(flat_candidates):
@@ -285,23 +282,19 @@ class TrajectoryOptimizerAgent(Agent):
             objective, self.cem_config, self._initial_mean().ravel(),
             np.tile(self.low, self.horizon), np.tile(self.high, self.horizon),
             rng, evaluate_mean=self.evaluate_mean)
-        self.last_trace = result.trace
         solution = result.solution.reshape(self.horizon, self.act_dim)
         self._prev_solution = solution
         return solution
 
     def act(self, obs, rng):
-        return self.optimize(obs, rng)[0]
-
-    def plan(self, obs, rng):
-        return self.optimize(obs, rng)
+        return self.plan(obs, rng)[0]
 
 
 def create_mpc_agent(model_env, horizon: int, act_dim: int, action_low,
-                     action_high, particles: int = 20,
-                     cem_config: CEMConfig | None = None,
-                     sample: bool = True) -> TrajectoryOptimizerAgent:
-    """MPC agent whose trajectories are evaluated in the given ModelEnv.
+                     action_high, *, particles: int,
+                     cem_config: CEMConfig | None = None
+                     ) -> TrajectoryOptimizerAgent:
+    """MPC agent scoring sampled model_env rollouts of `particles` particles.
 
     It keeps evaluate_mean: the final mean's rollout draws from rng, so
     dropping it would move every later plan and a run's bytes.
@@ -309,7 +302,7 @@ def create_mpc_agent(model_env, horizon: int, act_dim: int, action_low,
 
     def eval_fn(initial_obs, sequences, rng):
         return evaluate_action_sequences(
-            model_env, initial_obs, sequences, particles, rng, sample=sample)
+            model_env, initial_obs, sequences, particles, rng)
 
     return TrajectoryOptimizerAgent(eval_fn, horizon, act_dim, action_low,
                                     action_high, cem_config)

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -230,6 +233,48 @@ class TestPETSRun:
         a = (tmp_path / "a" / "results.csv").read_bytes()
         b = (tmp_path / "b" / "results.csv").read_bytes()
         assert a == b
+
+    def test_each_artifact_written_once_per_trial(self, tmp_path,
+                                                  monkeypatch):
+        saves = []
+        for cls in (LearningCurve, ReplayBuffer):
+            real = cls.save
+
+            def spy(obj, path, real=real):
+                saves.append(Path(path).name)
+                real(obj, path)
+
+            monkeypatch.setattr(cls, "save", spy)
+        pets_run(small_cfg(num_trials=2), out_dir=tmp_path / "two")
+        assert saves == ["results.csv", "buffer.dat"] * 2
+        # a run with no trial writes a header-only curve and the
+        # exploration buffer, once each
+        saves.clear()
+        pets_run(small_cfg(num_trials=0), out_dir=tmp_path / "none")
+        assert saves == ["results.csv", "buffer.dat"]
+        assert LearningCurve.load(tmp_path / "none" / "results.csv").rows \
+            == []
+        assert ReplayBuffer.load(tmp_path / "none" / "buffer.dat").size == 20
+
+    def test_walltime_changes_only_the_seconds_column(self, tmp_path):
+        pets_run(small_cfg(num_trials=3), out_dir=tmp_path / "off")
+        pets_run(small_cfg(num_trials=3, record_walltime=True),
+                 out_dir=tmp_path / "on")
+        off, on = ((tmp_path / run / "results.csv").read_text().splitlines()
+                   for run in ("off", "on"))
+        assert len(on) == len(off) == 4
+        assert on[0] == off[0]
+        assert off[0].split(",")[-1] == "seconds"
+        for row_on, row_off in zip(on[1:], off[1:]):
+            *rest_on, seconds = row_on.split(",")
+            *rest_off, seconds_off = row_off.split(",")
+            assert rest_on == rest_off
+            assert seconds_off == "0.000"
+            assert re.fullmatch(r"\d+\.\d{3}", seconds)
+            assert float(seconds) > 0.0
+        for name in ("buffer.dat", "model.ckpt.npz"):
+            assert (tmp_path / "on" / name).read_bytes() == \
+                (tmp_path / "off" / name).read_bytes()
 
     def test_stop_on_return_halts_early(self):
         # every scripted trial returns trial_length, so the threshold is met

@@ -212,6 +212,26 @@ class TestTrueEnvCEMControl:
                                  trial_length=10)
         assert a == b
 
+    def test_episode_ends_when_the_pole_falls(self, monkeypatch):
+        # one candidate and one iteration: close to random actions, so the
+        # pole falls well inside the trial, and the episode stops there
+        steps = []
+        real_step = CartPoleContinuousEnv.step
+
+        def step(env, action):
+            out = real_step(env, action)
+            steps.append(out[1:])
+            return out
+
+        monkeypatch.setattr(CartPoleContinuousEnv, "step", step)
+        cfg = CEMConfig(population=1, elite_count=1, iterations=1)
+        returns = true_env_cem_control("cartpole_continuous", cfg, 1, 1,
+                                       seed=0, trial_length=200)
+        dones = [done for _, done in steps]
+        assert len(steps) < 200
+        assert dones[-1] and not any(dones[:-1])
+        assert returns == [sum(reward for reward, _ in steps)]
+
     def test_cartpole_balances(self):
         # modest settings already keep the pole up for a short trial
         cfg = CEMConfig(population=100, elite_count=10, iterations=3,

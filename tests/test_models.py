@@ -263,8 +263,8 @@ class TestWrapperProcessing:
         obs = rng.standard_normal((4, 2))
         act = rng.standard_normal((4, 1))
         assignment = np.zeros(4, dtype=int)
-        next_obs, _ = w.sample(obs, act, rng, sample=False,
-                               member_assignment=assignment)
+        groups = MemberGroups.from_assignment(assignment, range(2))
+        next_obs, _ = w.sample(obs, act, rng, sample=False, groups=groups)
         x = w.normalizer.normalize(np.concatenate([obs, act], axis=1))
         raw = w.model.members[0].forward(x)
         assert np.array_equal(next_obs, obs + raw)
@@ -279,10 +279,11 @@ class TestWrapperSample:
         obs = np.random.default_rng(1).standard_normal((5, 2))
         act = np.zeros((5, 1))
         assignment = np.array([0, 1, 0, 1, 0])
+        groups = MemberGroups.from_assignment(assignment, range(2))
         a, _ = w.sample(obs, act, np.random.default_rng(0), sample=True,
-                        member_assignment=assignment)
+                        groups=groups)
         b, _ = w.sample(obs, act, np.random.default_rng(99), sample=False,
-                        member_assignment=assignment)
+                        groups=groups)
         assert np.array_equal(a, b)
 
     def test_floored_variance_collapses_to_mean(self):
@@ -294,10 +295,11 @@ class TestWrapperSample:
         obs = np.zeros((100, 2))
         act = np.zeros((100, 1))
         assignment = np.zeros(100, dtype=int)
+        groups = MemberGroups.from_assignment(assignment, range(1))
         drawn, _ = w.sample(obs, act, np.random.default_rng(0), sample=True,
-                            member_assignment=assignment)
+                            groups=groups)
         mean, _ = w.sample(obs, act, np.random.default_rng(0), sample=False,
-                           member_assignment=assignment)
+                           groups=groups)
         assert np.max(np.abs(drawn - mean)) < 1e-9
 
     def test_reproducible_given_seed(self):
@@ -307,11 +309,22 @@ class TestWrapperSample:
         obs = np.random.default_rng(2).standard_normal((6, 2))
         act = np.zeros((6, 1))
         assignment = np.array([0, 1, 2, 0, 1, 2])
+        groups = MemberGroups.from_assignment(assignment, range(3))
         a, _ = w.sample(obs, act, np.random.default_rng(5), sample=True,
-                        member_assignment=assignment)
+                        groups=groups)
         b, _ = w.sample(obs, act, np.random.default_rng(5), sample=True,
-                        member_assignment=assignment)
+                        groups=groups)
         assert np.array_equal(a, b)
+
+    def test_fixed_model_needs_groups(self):
+        # fixed_model propagation takes its members from the groups that
+        # `ModelEnv.step` builds; a call without them is rejected
+        model = GaussianMLPEnsemble(3, 2, ensemble_size=2, num_layers=2,
+                                    hid_size=4, rng=np.random.default_rng(0))
+        w = TransitionRewardWrapper(model, 2, 1)
+        with pytest.raises(ValidationError, match="member groups"):
+            w.sample(np.zeros((2, 2)), np.zeros((2, 1)),
+                     np.random.default_rng(0))
 
 
 def bounded_logvar(model, raw):
@@ -792,11 +805,9 @@ class TestGroupedSampling:
             assignment, range(case["ensemble_size"]))
         expected = per_member_reference(w, obs, act, assignment,
                                         np.random.default_rng(1), True)
-        for kwargs in ({"member_assignment": assignment},
-                       {"groups": groups}):
-            got, _ = w.sample(obs, act, np.random.default_rng(1),
-                              sample=True, **kwargs)
-            assert np.array_equal(got, expected)
+        got, _ = w.sample(obs, act, np.random.default_rng(1), sample=True,
+                          groups=groups)
+        assert np.array_equal(got, expected)
         # each particle alone gives the same rows up to rounding: a row's
         # matmul result depends on how many rows share the BLAS call
         mean, _ = w.sample(obs, act, rng, sample=False, groups=groups)
@@ -1069,16 +1080,12 @@ class TestStackedForward:
         ref_rng = np.random.default_rng(1)
         expected = per_member_reference(w, obs, actions[0], assignment,
                                         ref_rng, case["sample"])
-        # with the rollout's stack and groups, and with the stack and the
-        # assignment, grouped by the call
-        for kwargs in ({"groups": groups, "stack": stack},
-                       {"member_assignment": assignment, "stack": stack}):
-            rng = np.random.default_rng(1)
-            got, _ = w.sample(obs, actions[0], rng, sample=case["sample"],
-                              **kwargs)
-            np.testing.assert_allclose(got, expected, rtol=F32_TOL,
-                                       atol=F32_TOL)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # with the rollout's stack and groups
+        rng = np.random.default_rng(1)
+        got, _ = w.sample(obs, actions[0], rng, sample=case["sample"],
+                          groups=groups, stack=stack)
+        np.testing.assert_allclose(got, expected, rtol=F32_TOL, atol=F32_TOL)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_silu_on_halved_inputs_matches_float64_silu(self):
         # a stacked SiLU layer outputs z / 2 in float32 and the activation

@@ -241,6 +241,20 @@ class TestEvaluateActionSequences:
                                            np.random.default_rng(0))
         assert np.all(values == 0.0)
 
+    def test_nonfinite_particle_value_scores_minus_inf(self):
+        # the reward turns NaN once the state passes 1: exactly the
+        # candidates that get there score -inf, the others their return
+        menv = perfect_linear_model_env(
+            reward_fn=lambda act, next_obs: np.where(
+                next_obs[:, 0] > 1.0, np.nan, next_obs[:, 0]))
+        seqs = np.array([[[0.5], [0.25], [0.0]],    # 0.5, 0.75, 0.75
+                         [[0.5], [0.75], [-1.0]],   # 1.25 at step 2
+                         [[-0.5], [0.5], [0.75]],   # -0.5, 0, 0.75
+                         [[1.0], [0.5], [-2.0]]])   # 1.5 at step 2
+        values = evaluate_action_sequences(menv, np.zeros(1), seqs, 2,
+                                           np.random.default_rng(0))
+        np.testing.assert_array_equal(values, [2.0, -np.inf, 0.25, -np.inf])
+
     def test_matches_exhaustive_unroll(self):
         # h <= 3, N <= 4, deterministic model: compare to hand unrolling
         menv = perfect_linear_model_env()
