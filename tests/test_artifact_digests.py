@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -102,8 +103,6 @@ def test_artifact_digests_match(tmp_path):
 
 
 def record() -> None:
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
         run_commands(Path(tmp))
         digests = artifact_digests(Path(tmp))
