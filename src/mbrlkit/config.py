@@ -3,7 +3,15 @@
 Configs are YAML documents with sections dynamics_model / algorithm /
 overrides / agent / optimizer. The sentinel "???" marks fields (model input
 and output sizes) that are completed at runtime from the environment's
-shapes. Unknown keys are rejected with their full key path.
+shapes. Errors name what is wrong: an unknown key by its full key path, a
+section that is not a mapping by its name (a null section means defaults),
+and a document that is not valid YAML by its file name and the line and
+column where parsing stopped.
+
+Configs are parsed with PyYAML's libyaml-backed `CSafeLoader` when the
+installed PyYAML ships it, and with the pure-Python `SafeLoader` otherwise.
+Both share PyYAML's safe resolver and constructor, so a config loads to the
+same dicts either way; only the wording of a parse error differs.
 """
 
 from __future__ import annotations
@@ -19,6 +27,9 @@ from .fileio import replace_on_success
 from .planning import CEMConfig
 
 SENTINEL = "???"
+
+# libyaml's parser when PyYAML was built with it; the same dicts either way
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ConfigError(ValueError):
@@ -108,14 +119,33 @@ def _check_section(name: str, section: dict) -> None:
                 f"{getattr(expected, '__name__', expected)})")
 
 
+def _parse(path):
+    """The YAML document in path; a parse error becomes a ConfigError that
+    names the file and, when the parser gives it, the line and column. The
+    bytes go to the parser, which rejects a file that is not UTF-8 (or
+    UTF-16 with a byte order mark) as a parse error too."""
+    with open(path, "rb") as f:
+        try:
+            return yaml.load(f, Loader=_LOADER)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            if mark is None:
+                raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
+            raise ConfigError(
+                f"{path}: invalid YAML at line {mark.line + 1}, column "
+                f"{mark.column + 1}: {exc.problem}") from exc
+
+
 def load_config(path) -> RunConfig:
-    with open(path) as f:
-        doc = yaml.safe_load(f)
+    doc = _parse(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"config root must be a mapping, got {type(doc).__name__}")
-    for section in doc:
+    for section, value in doc.items():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section {section}")
+        if value is not None and not isinstance(value, dict):
+            raise ConfigError(f"section {section} must be a mapping, got "
+                              f"{type(value).__name__}")
     cfg = RunConfig(**{k: dict(doc.get(k) or {}) for k in _SCHEMA})
     for name in _SCHEMA:
         _check_section(name, getattr(cfg, name))

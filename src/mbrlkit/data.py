@@ -87,7 +87,8 @@ class ReplayBuffer:
         check runs before anything is written, so a rejected transition
         leaves the buffer unchanged: ValidationError is raised for an empty
         obs or action, an obs/next_obs shape mismatch, a non-finite value
-        in any field, or dims that differ from the stored transitions'.
+        in any field (naming the first such field), or dims that differ
+        from the stored transitions'.
         """
         obs = np.asarray(obs, dtype=np.float64).ravel()
         action = np.asarray(action, dtype=np.float64).ravel()
@@ -100,10 +101,15 @@ class ReplayBuffer:
             raise ValidationError(
                 f"obs/next_obs shape mismatch: {obs.shape} vs {next_obs.shape}"
             )
-        for name, arr in (("obs", obs), ("action", action),
-                          ("next_obs", next_obs)):
-            if not np.isfinite(arr).all():
-                raise ValidationError(f"non-finite values in {name}")
+        # a Python float sum is finite only if every term is; when it is not
+        # (a non-finite value, or finite ones whose sum overflows), the
+        # per-field checks name the field or pass
+        if not math.isfinite(sum(obs.tolist()) + sum(action.tolist())
+                             + sum(next_obs.tolist())):
+            for name, arr in (("obs", obs), ("action", action),
+                              ("next_obs", next_obs)):
+                if not np.isfinite(arr).all():
+                    raise ValidationError(f"non-finite values in {name}")
         if not math.isfinite(reward):
             raise ValidationError("non-finite reward")
         data = self._storage

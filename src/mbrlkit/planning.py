@@ -217,7 +217,15 @@ class Agent:
 
 
 class RandomAgent(Agent):
-    """Uniform actions over the environment's action box."""
+    """Uniform actions over the environment's action box.
+
+    `act` returns low + (high - low) * rng.random(act_dim), the formula
+    numpy's `Generator.uniform(low, high)` evaluates: the same values and
+    the same rng state, without uniform's broadcasting and checks. Those
+    checks run once here instead: ValidationError is raised for a
+    non-finite bound, low > high, or a span high - low that overflows. A
+    degenerate box (low == high) always returns low.
+    """
 
     def __init__(self, act_dim: int, action_low, action_high):
         self.act_dim = int(act_dim)
@@ -225,9 +233,15 @@ class RandomAgent(Agent):
             np.asarray(action_low, dtype=np.float64), (act_dim,))
         self.high = np.broadcast_to(
             np.asarray(action_high, dtype=np.float64), (act_dim,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.span = self.high - self.low
+        if not (np.isfinite(self.span).all() and (self.span >= 0).all()):
+            raise ValidationError(
+                "action box must be finite with low <= high, got "
+                f"low {self.low} and high {self.high}")
 
     def act(self, obs, rng):
-        return rng.uniform(self.low, self.high)
+        return self.low + self.span * rng.random(self.act_dim)
 
 
 class TrajectoryOptimizerAgent(Agent):

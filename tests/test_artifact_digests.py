@@ -7,9 +7,9 @@ artifact they write is hashed and compared with `artifact_digests.json`,
 beside this file. `seconds` is dropped from `trainer_report.json` first: it
 is the wall time of the last retrain.
 
-The digests hold for the numpy version and BLAS build recorded with them
-(the fingerprint). A change that moves these bytes on purpose re-records
-them with
+The digests hold for the numpy version, BLAS build and PyYAML build
+recorded with them (the fingerprint). A change that moves these bytes on
+purpose re-records them with
 
     PYTHONPATH=src python tests/test_artifact_digests.py --record
 
@@ -38,9 +38,13 @@ RUNS = (("cartpole", "cartpole.yaml", {"num_trials": 3}),
 
 
 def fingerprint() -> dict:
+    """The builds the bytes depend on: numpy and its BLAS for the numbers,
+    PyYAML (and whether it has libyaml) for the config.yaml snapshots."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__,
-            "blas": f"{blas.get('name')} {blas.get('version')}"}
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "pyyaml": yaml.__version__,
+            "libyaml": yaml.__with_libyaml__}
 
 
 def run_commands(work: Path) -> None:
@@ -90,9 +94,9 @@ def test_artifact_digests_match(tmp_path):
     got = artifact_digests(tmp_path)
     here = fingerprint()
     if here == pinned["fingerprint"]:
-        why = "the numpy/BLAS fingerprint is unchanged"
+        why = "the numpy/BLAS/PyYAML fingerprint is unchanged"
     else:
-        why = (f"the numpy/BLAS fingerprint changed from "
+        why = (f"the numpy/BLAS/PyYAML fingerprint changed from "
                f"{pinned['fingerprint']} to {here}")
     assert sorted(got) == sorted(pinned["artifacts"]), (
         f"artifact set differs: missing "

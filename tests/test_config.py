@@ -4,6 +4,7 @@ from dataclasses import fields
 import pytest
 import yaml
 
+from mbrlkit import config as config_mod
 from mbrlkit.algorithms import PETSConfig
 from mbrlkit.cli import cli_main
 from mbrlkit.config import (_SCHEMA, SENTINEL, ConfigError, RunConfig,
@@ -14,9 +15,34 @@ from mbrlkit.planning import CEMConfig
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
+HAS_C_LOADER = hasattr(yaml, "CSafeLoader")
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if HAS_C_LOADER else [])
+
+
+def load_with(loader, path):
+    """repr of load_config(path) parsing with loader: of the RunConfig, or
+    of the ConfigError it raised. A repr also tells 5 from 5.0."""
+    saved = config_mod._LOADER
+    config_mod._LOADER = loader
+    try:
+        return repr(load_config(path))
+    except ConfigError as exc:
+        return repr(exc)
+    finally:
+        config_mod._LOADER = saved
+
+
+def assert_loaders_agree(path):
+    results = [load_with(loader, path) for loader in LOADERS]
+    assert len(set(results)) == 1, results
+
+
 def write_yaml(tmp_path, doc, name="config.yaml"):
+    """Writes doc as YAML, after checking that every available loader reads
+    it to the same RunConfig (or the same ConfigError)."""
     path = tmp_path / name
     path.write_text(yaml.safe_dump(doc))
+    assert_loaders_agree(path)
     return path
 
 
@@ -123,13 +149,93 @@ class TestLoadConfig:
     def test_non_mapping_root_rejected(self, tmp_path):
         path = tmp_path / "config.yaml"
         path.write_text("- just\n- a\n- list\n")
+        assert_loaders_agree(path)
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("text", ["a: [1,\n", "agent: {horizon: 5\n",
+                                      "agent:\n  horizon: 5\n horizon: 6\n"])
+    def test_invalid_yaml_names_file_and_position(self, tmp_path,
+                                                 monkeypatch, loader, text):
+        path = tmp_path / "broken.yaml"
+        path.write_text(text)
+        monkeypatch.setattr(config_mod, "_LOADER", loader)
+        with pytest.raises(ConfigError, match=r"broken\.yaml: invalid YAML "
+                           r"at line \d+, column \d+"):
+            load_config(path)
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("text", ["agent: [1, 2]\n", "agent: 5\n",
+                                      "agent: []\n", "agent: horizon\n",
+                                      "optimizer: false\n"])
+    def test_non_mapping_section_rejected(self, tmp_path, monkeypatch,
+                                          loader, text):
+        path = tmp_path / "config.yaml"
+        path.write_text("overrides: {num_trials: 2}\n" + text)
+        section = text.split(":")[0]
+        monkeypatch.setattr(config_mod, "_LOADER", loader)
+        with pytest.raises(ConfigError,
+                           match=f"section {section} must be a mapping"):
+            load_config(path)
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+    def test_undecodable_bytes_name_file(self, tmp_path, monkeypatch,
+                                         loader):
+        path = tmp_path / "broken.yaml"
+        path.write_bytes(b"agent: {horizon: 5}\n\xff\xfe: 1\n")
+        monkeypatch.setattr(config_mod, "_LOADER", loader)
+        with pytest.raises(ConfigError, match=r"broken\.yaml: invalid YAML"):
+            load_config(path)
+
+    def test_null_section_means_defaults(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text("agent:\noptimizer: null\n")
+        assert_loaders_agree(path)
+        cfg = load_config(path)
+        assert cfg.agent == {} and cfg.optimizer == {}
+        assert cfg == load_config(write_yaml(tmp_path, {}, name="empty.yaml"))
 
     def test_missing_sections_get_defaults(self, tmp_path):
         cfg = load_config(write_yaml(tmp_path, {"agent": {"horizon": 10}}))
         assert cfg.env_name == "cartpole_continuous"
         assert cfg.dynamics_model["in_size"] == 5
+
+
+class TestMalformedConfigCLI:
+    """A malformed config exits 2, names the file or section, and writes
+    nothing."""
+
+    @pytest.mark.parametrize("command", ["train", "true-env-control"])
+    @pytest.mark.parametrize("text, name", [
+        ("a: [1,\n", "broken.yaml"),
+        ("agent: {horizon: 5}\n\xff: 1\n", "broken.yaml"),
+        ("agent: [1, 2]\n", "section agent"),
+        ("agent: 5\n", "section agent")])
+    def test_exit_2_naming_the_fault(self, tmp_path, capsys, command, text,
+                                     name):
+        path = tmp_path / "broken.yaml"
+        path.write_bytes(text.encode("latin-1"))
+        out = tmp_path / "run"
+        assert cli_main([command, "--config", str(path),
+                         "--out", str(out)]) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestLoaderParity:
+    def test_c_loader_used_when_available(self):
+        assert config_mod._LOADER is getattr(yaml, "CSafeLoader",
+                                             yaml.SafeLoader)
+
+    @pytest.mark.skipif(not HAS_C_LOADER,
+                        reason="PyYAML was built without libyaml")
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")),
+                             ids=lambda p: p.name)
+    def test_shipped_configs_load_equal(self, path):
+        via_c = load_with(yaml.CSafeLoader, path)
+        assert via_c.startswith("RunConfig(")
+        assert via_c == load_with(yaml.SafeLoader, path)
 
 
 class TestToPetsConfig:

@@ -48,6 +48,31 @@ def rejected_adds(i):
 
 
 class TestReplayBuffer:
+    @pytest.mark.parametrize("k, name", [(0, "obs"), (1, "action"),
+                                         (2, "next_obs")])
+    def test_nonfinite_value_names_first_bad_field(self, k, name):
+        fields = list(make_transition(0))
+        for j in range(k, 3):
+            fields[j] = fields[j].copy()
+            fields[j][-1] = np.inf if j % 2 else np.nan
+        buf = ReplayBuffer(2)
+        with pytest.raises(ValidationError, match=f"non-finite values in "
+                           f"{name}$"):
+            buf.add(*fields)
+        assert buf.size == 0
+
+    def test_huge_finite_values_stored(self):
+        # finite values whose squares overflow are still finite values
+        obs = np.array([1e200, -1.7e308])
+        action = np.array([np.finfo(np.float64).max])
+        next_obs = np.array([-1e160, 3.0])
+        buf = ReplayBuffer(2)
+        buf.add(obs, action, next_obs, 1e308, False)
+        batch = buf.get_all()
+        assert np.array_equal(batch.obs[0], obs)
+        assert np.array_equal(batch.action[0], action)
+        assert np.array_equal(batch.next_obs[0], next_obs)
+
     def test_first_insertion(self):
         buf = ReplayBuffer(3)
         buf.add(*make_transition(1))

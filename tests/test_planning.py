@@ -529,6 +529,41 @@ class TestRandomAgent:
         plan = agent.plan(None, np.random.default_rng(0))
         assert plan.shape == (1, 2)
 
+    @pytest.mark.parametrize("low, high", [
+        (np.nan, 1.0), (-1.0, np.nan), (-np.inf, 1.0), (-1.0, np.inf),
+        (1.0, -1.0), ([0.0, 1.0], [1.0, 0.5]), (-1e308, 1e308)])
+    def test_box_checked_at_construction(self, low, high):
+        with pytest.raises(ValidationError, match="action box"):
+            RandomAgent(2, low, high)
+
+    @given(st.integers(min_value=1, max_value=4), st.booleans(),
+           st.lists(st.tuples(
+               st.floats(min_value=-1e100, max_value=1e100),
+               st.floats(min_value=-1e100, max_value=1e100), st.booleans()),
+               min_size=4, max_size=4),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=80)
+    def test_draws_equal_generator_uniform(self, act_dim, per_dim, bounds,
+                                           seed):
+        # per dimension (or the first, as a scalar box): sorted bounds, or
+        # the first one twice for a degenerate box
+        pairs = [(min(a, b), max(a, b)) if not same else (a, a)
+                 for a, b, same in bounds[:act_dim]]
+        if per_dim:
+            low, high = [p[0] for p in pairs], [p[1] for p in pairs]
+        else:
+            low, high = pairs[0]
+        agent = RandomAgent(act_dim, low, high)
+        low_b = np.broadcast_to(np.asarray(low, dtype=np.float64), (act_dim,))
+        high_b = np.broadcast_to(np.asarray(high, dtype=np.float64),
+                                 (act_dim,))
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):
+            got = agent.act(None, rng)
+            assert got.dtype == np.float64 and got.shape == (act_dim,)
+            assert got.tobytes() == ref.uniform(low_b, high_b).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
 
 def make_mpc(horizon=5, cem=None, particles=1):
     menv = perfect_linear_model_env()
