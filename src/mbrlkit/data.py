@@ -101,15 +101,10 @@ class ReplayBuffer:
             raise ValidationError(
                 f"obs/next_obs shape mismatch: {obs.shape} vs {next_obs.shape}"
             )
-        # a Python float sum is finite only if every term is; when it is not
-        # (a non-finite value, or finite ones whose sum overflows), the
-        # per-field checks name the field or pass
-        if not math.isfinite(sum(obs.tolist()) + sum(action.tolist())
-                             + sum(next_obs.tolist())):
-            for name, arr in (("obs", obs), ("action", action),
-                              ("next_obs", next_obs)):
-                if not np.isfinite(arr).all():
-                    raise ValidationError(f"non-finite values in {name}")
+        for name, arr in (("obs", obs), ("action", action),
+                          ("next_obs", next_obs)):
+            if not all(map(math.isfinite, arr.tolist())):
+                raise ValidationError(f"non-finite values in {name}")
         if not math.isfinite(reward):
             raise ValidationError("non-finite reward")
         data = self._storage
